@@ -8,13 +8,14 @@ Exit codes: 0 success, 1 domain error, 2 I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import correspondence as corr
 from . import invariants as inv
 from . import ranking as rank_ops
-from .errors import DomainError
+from .errors import DomainError, SchemaError
 from .local_model import LocalModel
 from .pair_model import FormalPairModel, RelativeData, load_data
 from .rationals import Rational, floor_frac, format_rational, gen_factorial, parse_rational
@@ -222,18 +223,26 @@ def _cmd_invariant(args):
         rows = [["index", "kind", "value", "detail"]]
         entries = []
         for idx, q in enumerate(queries):
-            if "lambdas" in q:
-                lams = [parse_rational(x) for x in q["lambdas"]]
-                value = inv.localization_sum(lams, int(q["d"]))
-                entry = {"kind": "localization", "d": int(q["d"]), "value": _rat(value)}
+            if not isinstance(q, dict):
+                raise SchemaError(f"batch query {idx} must be a JSON object, got {q!r}")
+            localization = "lambdas" in q
+            try:
+                if localization:
+                    lams = [parse_rational(x) for x in q["lambdas"]]
+                    d = int(q["d"])
+                else:
+                    c, i, j = int(q["c"]), int(q["i"]), int(q["j"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"malformed batch query {idx}: {exc}") from exc
+            if localization:
+                value = inv.localization_sum(lams, d)
+                entry = {"kind": "localization", "d": d, "value": _rat(value)}
                 detail = f"m={len(lams)},d={q['d']}"
             else:
                 qmodel = LocalModel.from_json(q["model"]) if "model" in q else model
                 if qmodel is None:
                     raise DomainError("query needs an inline model or --model")
-                entry = _invariant_entry(
-                    qmodel, int(q["c"]), int(q["i"]), int(q["j"]), q.get("d")
-                )
+                entry = _invariant_entry(qmodel, c, i, j, q.get("d"))
                 entry["kind"] = "relative"
                 detail = f"c={entry['c']},R={entry['R']},d={entry['d']}"
             entries.append(entry)
@@ -321,8 +330,17 @@ def _cmd_assemble(args):
         if not isinstance(entries, list):
             raise DomainError("offdiag must be a JSON array of [row, col, value] triples")
         position = {input_idx: pos for pos, input_idx in enumerate(order)}
-        for row_in, col_in, value in entries:
-            offdiag[(position[int(row_in)], position[int(col_in)])] = parse_rational(value)
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise SchemaError(f"offdiag entry {entry!r} is not a [row, col, value] triple")
+            row_in, col_in, value = entry
+            try:
+                key = (position[int(row_in)], position[int(col_in)])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(
+                    f"offdiag entry {entry!r}: row and col must be input indices"
+                ) from exc
+            offdiag[key] = parse_rational(value)
     rule = corr.default_coeff_rule if args.coeff == "product" else (lambda rd: Rational(1))
     L = corr.assemble_L(
         model, basis, offdiag=offdiag, coeff_rule=rule, max_components=args.max_components
@@ -357,7 +375,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared for the process."""
     parser = argparse.ArgumentParser(
         prog="wbcorr",
         description="Exact weighted-blowup correspondence computations.",

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ImproperPairError, LabelError
 from .local_model import LocalModel
-from .ranking import c_bounds, c_to_Rd, require_fiber_label, sector_dim
-from .rationals import Rational, floor, gen_factorial
+from .ranking import c_bounds, c_to_Rd, require_fiber_label, sector_dim, tau_numerators
+from .rationals import Rational, gen_factorial_ints
 
 __all__ = [
     "ProperInsertionPair",
@@ -57,20 +57,24 @@ def h_invariant(model: LocalModel, R, d: int):
     """The closed-form integral ``(1/r) R^d prod_u 1/gfact(c_max_u, [tau_u])``.
 
     Never zero: every generalized-factorial factor is a product of strictly
-    positive rationals (asserted).
+    positive rationals (asserted).  With ``m_u = [tau(R, u)]`` and
+    ``c_max_u = (beta_u + m_u r) / r``, numerator and denominator are
+    accumulated as integers and reduced once.
     """
     require_fiber_label(model, R)
     R = Rational(R)
     _check_d(model, R, d)
-    value = Rational(1, model.r) * R**d
-    for u in range(1, model.n + 1):
-        m = floor(model.tau(R, u))
-        cmax = Rational(model.beta[u - 1], model.r) + m
-        f = gen_factorial(cmax, m)
-        if f == 0:
+    r = model.r
+    taus, tau_den = tau_numerators(model, R)
+    num, den = int(R.numerator) ** d, r * int(R.denominator) ** d
+    for u, (b, t) in enumerate(zip(model.beta, taus), start=1):
+        m = t // tau_den
+        f_num, f_den = gen_factorial_ints(b + m * r, r, m)
+        if f_num == 0:
             raise DomainError(f"vanishing factorial factor at coordinate {u}; inconsistent model")
-        value /= f
-    return value
+        num *= f_den
+        den *= f_num
+    return Rational(num, den)
 
 
 def h_prime_oracle(model: LocalModel, R, d: int):

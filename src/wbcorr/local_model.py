@@ -15,12 +15,54 @@ generator acting as ``exp(2 pi i / r)``.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import SchemaError, SectorError
 from .rationals import Rational, floor_frac, frac
 
-__all__ = ["LocalModel", "SectorIndex"]
+__all__ = ["LabelLadder", "LocalModel", "SectorIndex"]
+
+
+class LabelLadder(NamedTuple):
+    """Window 0 of a model's label ladder, in integers.
+
+    Every label ``(beta_j + a r) / (alpha_j r)`` is ``N / den`` with
+    ``den = r lcm(alpha)``.  Window 0 holds the labels in ``(0, 1]``, from
+    the covers ``0 <= a < alpha_j``; window ``k`` is window 0 shifted by
+    ``k``, i.e. numerators shifted by ``k den``.  Rationals are built only
+    for the labels returned.
+    """
+
+    den: int
+    #: Distinct window-0 numerators ``N``, ascending.
+    nums: list[int]
+    #: Number of pairs ``(j, a)`` with label ``N / den``, per numerator.
+    mults: list[int]
+    #: Running sums of ``mults``: the weak rank of each label inside the window.
+    ranks: list[int]
+
+    def window(self, k: int) -> list[tuple[object, int]]:
+        """The labels of window ``k`` with their multiplicities, ascending."""
+        shift = k * self.den
+        return [(Rational(num + shift, self.den), m) for num, m in zip(self.nums, self.mults)]
+
+    def ranked_label(self, c: int):
+        """The ranked label ``(R, d)`` of rank ``c + 1``, for ``c >= 0``.
+
+        The windows below ``k = c // size`` (``size`` labels counted with
+        multiplicity each) hold ranks ``1 .. k size``, so the label is the
+        first of window 0 whose weak rank exceeds ``c mod size``, shifted
+        by ``k``.
+        """
+        k, rest = divmod(c, self.ranks[-1])
+        i = bisect_right(self.ranks, rest)
+        return Rational(self.nums[i] + k * self.den, self.den), self.ranks[i] - rest - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -73,6 +115,19 @@ class LocalModel:
     def weight_total(self) -> int:
         """Sum of the blowup weights (the window size of the label ladder)."""
         return sum(self.alpha)
+
+    @cached_property
+    def ladder(self) -> LabelLadder:
+        """Window 0 of the label ladder (see ``LabelLadder``), built once per model."""
+        lcm = math.lcm(*self.alpha)
+        counts = Counter(
+            (b + a * self.r) * (lcm // al)
+            for b, al in zip(self.beta, self.alpha)
+            for a in range(al)
+        )
+        nums = sorted(counts)
+        mults = [counts[num] for num in nums]
+        return LabelLadder(self.r * lcm, nums, mults, list(accumulate(mults)))
 
     # -- serialization ----------------------------------------------------
 

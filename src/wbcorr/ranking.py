@@ -13,7 +13,11 @@ coordinate/cover pairs ``(j, a)``).  This module computes, exactly:
 * the per-coordinate contact-order bounds.
 
 Everything is a pure function of (model, arguments); labels are plain
-rationals and ranked labels plain ``(R, d)`` pairs.
+rationals and ranked labels plain ``(R, d)`` pairs.  Internally the work is
+integer arithmetic: ``tau(R, j)`` as numerators over a common denominator,
+and the window-0 ladder cached on the model (``LocalModel.ladder``) as
+numerators over ``r lcm(alpha)``.  Rationals are built only for the values
+returned.
 """
 
 from __future__ import annotations
@@ -44,15 +48,23 @@ def lambda_value(model: LocalModel, j: int, a: int):
     return Rational(model.beta[j - 1] + a * model.r, model.alpha[j - 1] * model.r)
 
 
+def tau_numerators(model: LocalModel, R) -> tuple[list[int], int]:
+    """``tau(R, j)`` for every coordinate as integer numerators over one denominator.
+
+    With ``R = p/q`` the numerators are ``alpha_j r p - beta_j q`` over ``r q``,
+    plain ints whatever the rational backend.  Package-internal integer
+    kernel, shared with ``invariants.h_invariant``; not exported.
+    """
+    p, q = int(R.numerator), int(R.denominator)
+    rp = model.r * p
+    return [a * rp - b * q for b, a in zip(model.beta, model.alpha)], model.r * q
+
+
 def lambda_preimages(model: LocalModel, R) -> list[tuple[int, int]]:
     """All pairs ``(j, a)`` with label R, in coordinate order."""
-    R = Rational(R)
-    out = []
-    for j in range(1, model.n + 1):
-        t = model.tau(R, j)  # equals a exactly when (j, a) is a preimage
-        if t.denominator == 1 and t >= 0:
-            out.append((j, int(t)))
-    return out
+    taus, den = tau_numerators(model, Rational(R))
+    # tau(R, j) equals a exactly when (j, a) is a preimage
+    return [(j, t // den) for j, t in enumerate(taus, start=1) if t >= 0 and t % den == 0]
 
 
 def require_fiber_label(model: LocalModel, R):
@@ -75,13 +87,13 @@ def rk_pair(model: LocalModel, R) -> tuple[int, int]:
     R = Rational(R)
     if R <= 0:
         raise LabelError(f"ranking is defined for positive labels, got {R}")
+    taus, den = tau_numerators(model, R)
     weak = 0
     ties = 0
-    for j in range(1, model.n + 1):
-        t = model.tau(R, j)  # a-range bound for coordinate j
+    for t in taus:  # t / den bounds the covers a of coordinate j
         if t >= 0:
-            weak += floor(t) + 1
-            if t.denominator == 1:
+            weak += t // den + 1
+            if t % den == 0:
                 ties += 1
     return weak - ties + 1, weak
 
@@ -100,13 +112,7 @@ def window(model: LocalModel, k: int) -> list[tuple[object, int]]:
     """
     if k < 0:
         raise LabelError(f"window index must be nonnegative, got {k}")
-    counts: dict[object, int] = {}
-    for j in range(1, model.n + 1):
-        aj = model.alpha[j - 1]
-        for a in range(k * aj, (k + 1) * aj):
-            val = lambda_value(model, j, a)
-            counts[val] = counts.get(val, 0) + 1
-    return sorted(counts.items())
+    return model.ladder.window(k)
 
 
 def rk_tilde(model: LocalModel, R, ell: int) -> int:
@@ -127,14 +133,7 @@ def c_to_Rd(model: LocalModel, c: int):
     """
     if c < 0:
         raise LabelError(f"descendent power must be nonnegative, got {c}")
-    k = c // model.weight_total
-    rank_weak = k * model.weight_total
-    for R, mult in window(model, k):
-        rank_weak += mult
-        d = rank_weak - (c + 1)
-        if 0 <= d <= mult - 1:
-            return R, d
-    raise AssertionError(f"rank {c + 1} not found in its window; ranking bug")
+    return model.ladder.ranked_label(c)
 
 
 def moduli_dim(model: LocalModel, R) -> int:
@@ -161,7 +160,7 @@ def c_bounds(model: LocalModel, R):
     ``c_min_j = beta_j / r`` and ``c_max_j = beta_j / r + [tau(R, j)]``.
     """
     require_fiber_label(model, R)
-    R = Rational(R)
+    taus, den = tau_numerators(model, Rational(R))
     c_min = [Rational(b, model.r) for b in model.beta]
-    c_max = [c_min[j] + floor(model.tau(R, j + 1)) for j in range(model.n)]
+    c_max = [Rational(b + (t // den) * model.r, model.r) for b, t in zip(model.beta, taus)]
     return c_min, c_max

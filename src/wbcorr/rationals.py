@@ -2,12 +2,16 @@
 
 Every quantity in this package is an exact rational; nothing is ever
 evaluated in floating point, and there is no overflow (Python integers and
-GMP integers are arbitrary precision).
+GMP integers are arbitrary precision).  Hot kernels keep numerators and
+denominators as integers and build one rational at the end: the
+generalized factorial, for one, is a single integer product over a power
+of the denominator.
 
 Two interchangeable backends provide the ``Rational`` constructor:
 
 * ``gmpy2.mpq`` -- a compiled GMP extension, used automatically when gmpy2
-  is importable (several times faster on the enumeration-heavy kernels);
+  is importable (expected to be faster on the enumeration-heavy kernels;
+  not measured, as the recorded benchmarks ran without gmpy2);
 * ``fractions.Fraction`` -- the pure-Python stdlib fallback.
 
 Both store values reduced with a positive denominator, print as ``p/q``
@@ -46,8 +50,12 @@ def Rational(*args):
 
     Accepts ints, rationals of either backend, or ``p/q`` strings.  A stable
     callable (rather than a class alias) so that ``set_backend`` takes
-    effect everywhere, however the name was imported.
+    effect everywhere, however the name was imported.  A value that is
+    already of the active type is returned as is: it is immutable and
+    reduced, and kernels convert their arguments at every entry point.
     """
+    if len(args) == 1 and type(args[0]) is _active:
+        return args[0]
     return _active(*args)
 
 
@@ -126,17 +134,27 @@ def frac(q):
     return floor_frac(q)[1]
 
 
+def gen_factorial_ints(p: int, q: int, m: int) -> tuple[int, int]:
+    """Unreduced numerator and denominator of ``gen_factorial(p/q, m)``.
+
+    The factors ``p/q - k`` share the denominator ``q``, so the product is
+    ``p (p - q) ... (p - m q)`` over ``q^(m+1)``.  Needs plain ints with
+    ``q >= 1`` and ``m >= -1``.  Package-internal integer kernel, shared by
+    ``gen_factorial`` and ``invariants.h_invariant``; not exported.
+    """
+    return math.prod(range(p, p - (m + 1) * q, -q)), q ** (m + 1)
+
+
 def gen_factorial(c, m: int):
     """Descending product ``c (c-1) ... (c-m)`` over ``m + 1`` factors.
 
     ``m = -1`` gives the empty product 1.  For integer ``c = m`` this is the
     ordinary factorial; for non-integer ``c`` it is the generalized
     factorial ``c (c-1) ... (c-[c])`` used by the fiber invariant formula.
+    With ``c = p/q`` it is computed as the integer product
+    ``p (p - q) ... (p - m q)`` over ``q^(m+1)``, reduced once.
     """
     if m != int(m) or m < -1:
         raise ValueError(f"gen_factorial needs an integer m >= -1, got {m!r}")
     c = Rational(c)
-    out = Rational(1)
-    for k in range(int(m) + 1):
-        out *= c - k
-    return out
+    return Rational(*gen_factorial_ints(int(c.numerator), int(c.denominator), int(m)))

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from wbcorr import LocalModel, rationals
+from wbcorr import ranking as rank_ops
 from wbcorr.cli import VERB_OPERATIONS, main
 
 from conftest import PAIR_MODEL_B
@@ -132,6 +134,39 @@ def test_rank_and_dims(capsys, model_path):
     assert doc["c_max"] == ["1/2", "0"]
     code, out, _ = run(capsys, "dims", "--model", model_path, "--k", "0", "--format", "json")
     assert [e["R"] for e in json.loads(out)["window"]] == ["1/2", "1"]
+
+
+@pytest.fixture(params=rationals.available_backends())
+def backend(request):
+    previous = rationals.set_backend(request.param)
+    yield request.param
+    rationals.set_backend(previous)
+
+
+def test_integer_results_on_every_backend(capsys, tmp_path, backend):
+    # gmpy2's integers are not ints and json cannot encode them: every count
+    # the kernels return must be a plain int whatever the rational backend.
+    model = LocalModel(r=3, beta=(1, 2, 3), alpha=(2, 1, 1))
+    for c in range(3 * model.weight_total):
+        R, d = rank_ops.c_to_Rd(model, c)
+        counts = [d, rank_ops.rk_tilde(model, R, d), *rank_ops.rk_pair(model, R)]
+        counts += [rank_ops.moduli_dim(model, R), rank_ops.sector_dim(model, R)]
+        counts += [x for pair in rank_ops.lambda_preimages(model, R) for x in pair]
+        assert all(type(x) is int for x in counts), (c, counts)
+    assert all(type(m) is int for _R, m in rank_ops.window(model, 2))
+
+    path = tmp_path / "m3.json"
+    path.write_text(json.dumps(model.to_json()))
+    for argv in (
+        ["rank", "--c", "7"],
+        ["rank", "--R", "5/3"],
+        ["dims", "--k", "1"],
+        ["dims", "--R", "5/3"],
+        ["invariant", "--c", "7", "--i", "1", "--j", "1"],
+    ):
+        code, out, err = run(capsys, *argv, "--model", str(path), "--format", "json")
+        assert code == 0 and not err, (argv, err)
+        json.loads(out)
 
 
 def test_degshift(capsys, model_path):
@@ -283,7 +318,7 @@ def test_out_file(capsys, model_path, tmp_path):
     assert target.read_text() == "2\n"
 
 
-def test_exit_codes(capsys, model_path, tmp_path):
+def test_exit_codes(capsys, model_path, tmp_path, pair_model_path):
     # missing file: parse/IO error
     code, _, err = run(capsys, "sectors", "--model", str(tmp_path / "absent.json"))
     assert code == 2 and err
@@ -301,3 +336,19 @@ def test_exit_codes(capsys, model_path, tmp_path):
         "--d", "1",
     )
     assert code == 1 and "ImproperPairError" in err
+    # malformed batch rows and off-diagonal entries: one-line schema errors
+    qpath = tmp_path / "q.json"
+    for rows in ([5], [{"c": None, "i": 1, "j": 1}], [{"lambdas": 3, "d": 1}]):
+        qpath.write_text(json.dumps(rows))
+        code, _, err = run(capsys, "invariant", "--model", model_path, "--data", str(qpath))
+        assert code == 2 and err.startswith("SchemaError") and err.count("\n") == 1
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps(_chain_docs()))
+    od_path = tmp_path / "od.json"
+    for entries in ([5], [[1, 2]], [[1, 2, "5/7", 0]], [[1, None, "5/7"]], [[1, 9, "5/7"]]):
+        od_path.write_text(json.dumps(entries))
+        code, _, err = run(
+            capsys, "assemble", "--pair-model", pair_model_path, "--data", str(data_path),
+            "--offdiag", str(od_path),
+        )
+        assert code == 2 and err.startswith("SchemaError") and err.count("\n") == 1

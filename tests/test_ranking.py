@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbcorr import LabelError, LocalModel
 from wbcorr.local_model import degree_shift_of_label
@@ -181,3 +184,52 @@ def test_fractional_parts_constant_on_label_ladder():
             assert lambda_preimages(model, R + 1) == [
                 (j, a + model.alpha[j - 1]) for j, a in lambda_preimages(model, R)
             ]
+
+
+# Random models with n <= 5, r <= 8, alpha <= 5, drawn through the shared helper.
+local_models = st.randoms(use_true_random=False).map(
+    lambda rng: random_local_model(rng, max_r=8, max_alpha=5)
+)
+
+
+def enumerated_pairs(model, upper):
+    """Every ``(j, a)`` whose label is at most ``upper``, with that label,
+    straight from ``lambda_value``."""
+    out = []
+    for j in range(1, model.n + 1):
+        for a in range(math.ceil(upper) * model.alpha[j - 1] + 1):
+            label = lambda_value(model, j, a)
+            if label <= upper:
+                out.append((j, a, label))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(local_models, st.integers(1, 60), st.integers(1, 12))
+def test_integer_ladder_kernels_against_enumeration(model, p, q):
+    windows = 3
+    count = windows * model.weight_total
+    expected = brute_ranked_labels(model, count)
+    assert [c_to_Rd(model, c) for c in range(count)] == expected
+
+    pairs = enumerated_pairs(model, max(windows, Q(p, q)) + 1)
+    for k in range(windows):
+        mults = {}
+        for _j, _a, label in pairs:
+            if k < label <= k + 1:
+                mults[label] = mults.get(label, 0) + 1
+        assert window(model, k) == sorted(mults.items())
+
+    labels = sorted({label for _j, _a, label in pairs if label <= windows})
+    probes = labels + [(x + y) / 2 for x, y in zip(labels, labels[1:])] + [Q(p, q)]
+    for R in probes:
+        below = [(j, a) for j, a, label in pairs if label < R]
+        at = [(j, a) for j, a, label in pairs if label == R]
+        assert rk_pair(model, R) == (len(below) + 1, len(below) + len(at))
+        assert lambda_preimages(model, R) == sorted(at)
+        if at:
+            c_min, c_max = c_bounds(model, R)
+            assert c_min == [Q(b, model.r) for b in model.beta]
+            for j in range(1, model.n + 1):
+                covers = sum(1 for i, _a, label in pairs if i == j and label <= R)
+                assert c_max[j - 1] == c_min[j - 1] + covers - 1

@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wbcorr import rationals
@@ -47,6 +49,31 @@ def test_gen_factorial_examples():
 @given(rational_values, st.integers(0, 8))
 def test_gen_factorial_recursion(c, m):
     assert gen_factorial(c, m) == gen_factorial(c, m - 1) * (c - m)
+
+
+def naive_gen_factorial(c, m):
+    """Reference: one ``Fraction`` multiply per factor ``c - k``."""
+    out = Fraction(1)
+    for k in range(m + 1):
+        out *= Fraction(c) - k
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.integers(-100, -1).map(Rational),  # negative integral
+        st.integers(0, 100).map(Rational),  # nonnegative integral
+        st.builds(Rational, st.integers(-300, 300), st.integers(2, 60)),  # mostly non-integral
+    ),
+    st.integers(-1, 40),
+)
+@example(Rational(-7, 3), -1)
+@example(Rational(0), -1)
+@example(Rational(5, 2), 0)
+@example(Rational(4), 6)
+def test_gen_factorial_matches_naive_loop(c, m):
+    assert gen_factorial(c, m) == naive_gen_factorial(c, m)
 
 
 def test_gen_factorial_rejects_bad_range():
