@@ -35,7 +35,7 @@ VERB_OPERATIONS = {
         "floor_frac",
     ],
     "correspond": ["psi_forward", "psi_inverse", "n_minimal_companion"],
-    "order": ["precedes", "find_precedence_witness", "linear_extension"],
+    "order": ["precedes", "find_precedence_witness", "comparison_matrix", "linear_extension"],
     "assemble": ["assemble_L", "default_coeff_rule"],
     "solve": ["solve_lower_triangular"],
 }
@@ -61,7 +61,7 @@ def _load_pair_model(args) -> FormalPairModel:
 def _load_data_list(path) -> list[RelativeData]:
     doc = _load_json(path)
     if not isinstance(doc, list):
-        raise DomainError("expected a JSON array of relative data documents")
+        raise SchemaError("expected a JSON array of relative data documents")
     return [RelativeData.from_json(d) for d in doc]
 
 
@@ -219,7 +219,7 @@ def _cmd_invariant(args):
     if args.data:
         queries = _load_json(args.data)
         if not isinstance(queries, list):
-            raise DomainError("batch queries must be a JSON array")
+            raise SchemaError("batch queries must be a JSON array")
         rows = [["index", "kind", "value", "detail"]]
         entries = []
         for idx, q in enumerate(queries):
@@ -232,6 +232,7 @@ def _cmd_invariant(args):
                     d = int(q["d"])
                 else:
                     c, i, j = int(q["c"]), int(q["i"]), int(q["j"])
+                    d = None if q.get("d") is None else int(q["d"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"malformed batch query {idx}: {exc}") from exc
             if localization:
@@ -242,7 +243,7 @@ def _cmd_invariant(args):
                 qmodel = LocalModel.from_json(q["model"]) if "model" in q else model
                 if qmodel is None:
                     raise DomainError("query needs an inline model or --model")
-                entry = _invariant_entry(qmodel, c, i, j, q.get("d"))
+                entry = _invariant_entry(qmodel, c, i, j, d)
                 entry["kind"] = "relative"
                 detail = f"c={entry['c']},R={entry['R']},d={entry['d']}"
             entries.append(entry)
@@ -299,19 +300,9 @@ def _cmd_order(args):
     if not args.data:
         raise DomainError("order needs --data")
     data = _load_data_list(args.data)
-    order = corr.linear_extension_order(model, data, max_components=args.max_components)
-    comparable = sum(
-        1
-        for i in range(len(data))
-        for j in range(len(data))
-        if i != j
-        and data[i] != data[j]
-        and corr.find_precedence_witness(
-            model, data[i], data[j], max_components=args.max_components
-        )
-        is not None
-    )
-    doc = {"order": order, "strict_comparable_pairs": comparable}
+    strict = corr.comparison_matrix(model, data, max_components=args.max_components)
+    order = corr.order_from_matrix(data, strict)
+    doc = {"order": order, "strict_comparable_pairs": sum(map(sum, strict))}
     rows = [["position", "input_index"]]
     rows += [[str(pos), str(idx)] for pos, idx in enumerate(order)]
     _emit(args, doc, ["\t".join(r) for r in rows])
@@ -328,7 +319,7 @@ def _cmd_assemble(args):
     if args.offdiag:
         entries = _load_json(args.offdiag)
         if not isinstance(entries, list):
-            raise DomainError("offdiag must be a JSON array of [row, col, value] triples")
+            raise SchemaError("offdiag must be a JSON array of [row, col, value] triples")
         position = {input_idx: pos for pos, input_idx in enumerate(order)}
         for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 3):

@@ -11,6 +11,8 @@ The pieces, all exact and deterministic:
   to itself.
 * ``precedes``: the degeneration partial order, decided by a bounded
   complete search over bubble witnesses.
+* ``comparison_matrix``: the strict order on a list of data, each datum
+  validated once and each ordered pair searched once.
 * ``linear_extension`` / ``assemble_L`` / ``solve_lower_triangular``: the
   poset-indexed lower-triangular transfer matrix and its exact solve.
 
@@ -74,6 +76,7 @@ __all__ = [
     "glue",
     "precedes",
     "find_precedence_witness",
+    "comparison_matrix",
     "linear_extension",
     "linear_extension_order",
     "default_coeff_rule",
@@ -618,6 +621,11 @@ def find_precedence_witness(
     """
     model.validate_relative_data(rd1)
     model.validate_relative_data(rd2)
+    return _search(model, rd1, rd2, max_components)
+
+
+def _search(model, rd1, rd2, max_components):
+    """The witness search of ``find_precedence_witness`` on validated data."""
     comps1, comps2 = rd1.components, rd2.components
     bound = len(rd1.relative_markings()) + len(comps2)
     if bound > max_components:
@@ -708,23 +716,33 @@ def precedes(
 # linear extension and the transfer matrix
 
 
-def linear_extension_order(
+def comparison_matrix(
     model: FormalPairModel, data, *, max_components: int = DEFAULT_MAX_COMPONENTS
-) -> list[int]:
-    """Indices of ``data`` in a deterministic linear extension of the order.
+) -> list[list[bool]]:
+    """The strict order on ``data`` as an n x n matrix: ``[i][j]`` is True
+    when ``data[i]`` precedes ``data[j]`` and the two differ.
 
-    Strict predecessors always come first; ties break on the canonical
-    structural key, then on input position.  Raises PosetCycleError if the
-    comparison relation is cyclic (which would signal an ordering bug).
+    Validates each datum once, in input order, then searches each ordered
+    pair of distinct data once, row by row; so an invalid datum raises
+    before any search, and a pair over the cap raises SearchLimitError.
     """
     items = list(data)
-    n = len(items)
-    strict = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and items[i] != items[j]:
-                strict[i][j] = precedes(model, items[i], items[j], max_components=max_components)
-    remaining = set(range(n))
+    for rd in items:
+        model.validate_relative_data(rd)
+    return [
+        [a != b and _search(model, a, b, max_components) is not None for b in items]
+        for a in items
+    ]
+
+
+def order_from_matrix(items, strict) -> list[int]:
+    """The linear extension of ``linear_extension_order`` for a strict
+    comparison matrix of ``items`` (as from ``comparison_matrix``).
+
+    Package-internal, shared with the CLI, which also reports the matrix;
+    not exported.
+    """
+    remaining = set(range(len(items)))
     order = []
     while remaining:
         ready = [
@@ -738,6 +756,19 @@ def linear_extension_order(
         order.append(pick)
         remaining.remove(pick)
     return order
+
+
+def linear_extension_order(
+    model: FormalPairModel, data, *, max_components: int = DEFAULT_MAX_COMPONENTS
+) -> list[int]:
+    """Indices of ``data`` in a deterministic linear extension of the order.
+
+    Strict predecessors always come first; ties break on the canonical
+    structural key, then on input position.  Raises PosetCycleError if the
+    comparison relation is cyclic (which would signal an ordering bug).
+    """
+    items = list(data)
+    return order_from_matrix(items, comparison_matrix(model, items, max_components=max_components))
 
 
 def linear_extension(

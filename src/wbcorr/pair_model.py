@@ -446,6 +446,9 @@ class FormalPairModel:
     def __post_init__(self):
         object.__setattr__(self, "_s_by_name", {s.name: s for s in self.s_sectors})
         object.__setattr__(self, "_z_by_name", {z.name: z for z in self.z_sectors})
+        # ell_max per divisor sector, filled on first use: a sector is read
+        # only once _validate has checked its phase
+        object.__setattr__(self, "_ell_max", {})
         self._validate()
 
     @classmethod
@@ -639,9 +642,12 @@ class FormalPairModel:
         raise DomainError(f"no divisor sector over {t!r} with phase {format_rational(ph)}")
 
     def ell_max(self, s_name: str) -> int:
-        z = self.z_sector(s_name)
-        delta = z.local_model.distinguished_sector(z.phase)
-        return len(z.local_model.sector_support(delta)) - 1
+        """Largest H-power on a divisor sector: its support size less one."""
+        if s_name not in self._ell_max:
+            z = self.z_sector(s_name)
+            delta = z.local_model.distinguished_sector(z.phase)
+            self._ell_max[s_name] = len(z.local_model.sector_support(delta)) - 1
+        return self._ell_max[s_name]
 
     def dual_marking(self, m: RelativeMarking) -> RelativeMarking:
         """The dual divisor marking: partner sector, same contact and basis pair."""

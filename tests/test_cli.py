@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from wbcorr import LocalModel, rationals
+from wbcorr import FormalPairModel, LocalModel, enumerate_relative_data, precedes, rationals
+from wbcorr import correspondence as corr
 from wbcorr import ranking as rank_ops
 from wbcorr.cli import VERB_OPERATIONS, main
 
-from conftest import PAIR_MODEL_B
+from conftest import PAIR_MODEL_B, PAIR_MODEL_C
 
 M2_DOC = {"r": 2, "beta": [1, 2], "alpha": [1, 1]}
 
@@ -34,6 +35,7 @@ SPEC_OPERATIONS = [
     "psi_inverse",
     "n_minimal_companion",
     "precedes",
+    "comparison_matrix",
     "linear_extension",
     "assemble_L",
     "solve_lower_triangular",
@@ -277,6 +279,56 @@ def test_order_and_assemble(capsys, tmp_path, pair_model_path):
     assert matrix[0][1] == "0" and matrix[0][2] == "0" and matrix[1][2] == "0"
 
 
+@pytest.mark.parametrize("doc", [PAIR_MODEL_B, PAIR_MODEL_C])
+def test_order_reports_the_comparison_matrix(capsys, tmp_path, doc):
+    model = FormalPairModel.from_json(doc)
+    data = enumerate_relative_data(model, windows=(0, 1), genus_values=(0, 1), components=2)
+    data = data[:: len(data) // 12][:12]
+    pm_path, data_path = tmp_path / "pm.json", tmp_path / "data.json"
+    pm_path.write_text(json.dumps(doc))
+    data_path.write_text(json.dumps([rd.to_json() for rd in data]))
+    code, out, _ = run(
+        capsys, "order", "--pair-model", str(pm_path), "--data", str(data_path), "--format", "json"
+    )
+    assert code == 0
+    pairwise = sum(a != b and precedes(model, a, b) for a in data for b in data)
+    assert pairwise > 0
+    assert json.loads(out) == {
+        "order": corr.linear_extension_order(model, data),
+        "strict_comparable_pairs": pairwise,
+    }
+
+
+def test_order_searches_each_pair_once(capsys, tmp_path, pair_model_path, monkeypatch):
+    docs = _chain_docs()
+    docs.append(docs[1])  # equal data are never compared
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps(docs))
+    searches, validations = [], []
+    search, validate = corr._search, FormalPairModel.validate_relative_data
+
+    def counted_search(model, rd1, rd2, max_components):
+        searches.append((id(rd1), id(rd2)))  # the four loaded data stay alive
+        return search(model, rd1, rd2, max_components)
+
+    def counted_validate(model, rd):
+        validations.append(rd)
+        return validate(model, rd)
+
+    monkeypatch.setattr(corr, "_search", counted_search)
+    monkeypatch.setattr(FormalPairModel, "validate_relative_data", counted_validate)
+    code, out, _ = run(capsys, "order", "--pair-model", pair_model_path, "--data", str(data_path))
+    assert code == 0 and out.startswith("position")
+    assert len(searches) == len(set(searches)) == 4 * 3 - 2
+    assert len(validations) == 4
+
+    code, _, err = run(
+        capsys, "order", "--pair-model", pair_model_path, "--data", str(data_path),
+        "--max-components", "1",
+    )
+    assert code == 1 and err.startswith("SearchLimitError") and err.count("\n") == 1
+
+
 def test_solve(capsys, tmp_path):
     mpath = tmp_path / "L.json"
     vpath = tmp_path / "v.json"
@@ -342,6 +394,11 @@ def test_exit_codes(capsys, model_path, tmp_path, pair_model_path):
         qpath.write_text(json.dumps(rows))
         code, _, err = run(capsys, "invariant", "--model", model_path, "--data", str(qpath))
         assert code == 2 and err.startswith("SchemaError") and err.count("\n") == 1
+    # a batch row's H-power parses like its other fields
+    for d, expected in (("0", 0), ("x", 2)):
+        qpath.write_text(json.dumps([{"c": 0, "i": 1, "j": 1, "d": d}]))
+        code, _, err = run(capsys, "invariant", "--model", model_path, "--data", str(qpath))
+        assert code == expected and err.count("\n") == expected // 2
     data_path = tmp_path / "data.json"
     data_path.write_text(json.dumps(_chain_docs()))
     od_path = tmp_path / "od.json"
@@ -352,3 +409,29 @@ def test_exit_codes(capsys, model_path, tmp_path, pair_model_path):
             "--offdiag", str(od_path),
         )
         assert code == 2 and err.startswith("SchemaError") and err.count("\n") == 1
+    # top-level documents that are not arrays are malformed input
+    data_path.write_text(json.dumps(_chain_docs()))
+    od_path.write_text(json.dumps([]))
+    obj_path = tmp_path / "obj.json"
+    obj_path.write_text(json.dumps({}))
+    for argv in (
+        ["invariant", "--model", model_path, "--data", str(obj_path)],
+        ["order", "--pair-model", pair_model_path, "--data", str(obj_path)],
+        ["assemble", "--pair-model", pair_model_path, "--data", str(obj_path)],
+        ["assemble", "--pair-model", pair_model_path, "--data", str(data_path),
+         "--offdiag", str(obj_path)],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("SchemaError") and err.count("\n") == 1, argv
+    # every datum is validated, even when no pair is compared
+    bad = {
+        "kind": "relative",
+        "components": [
+            {"genus": 0, "class": ["0", "1"],
+             "relative": [{"sector": "sb", "contact": "1", "j": 1, "ell": 99}]}
+        ],
+    }
+    for docs in ([bad], [bad, bad]):
+        data_path.write_text(json.dumps(docs))
+        code, out, err = run(capsys, "order", "--pair-model", pair_model_path, "--data", str(data_path))
+        assert code == 1 and not out and "H-power 99" in err and err.count("\n") == 1

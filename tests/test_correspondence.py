@@ -1,4 +1,8 @@
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbcorr import (
     DomainError,
@@ -7,6 +11,7 @@ from wbcorr import (
     TriangularError,
     assemble_L,
     companion_rplus,
+    comparison_matrix,
     default_coeff_rule,
     enumerate_relative_data,
     find_precedence_witness,
@@ -32,7 +37,7 @@ from wbcorr.pair_model import (
 )
 from wbcorr.rationals import Rational as Q
 
-from conftest import PAIR_MODEL_CODIM1
+from conftest import PAIR_MODEL_B, PAIR_MODEL_C, PAIR_MODEL_CODIM1
 
 
 def rdata(*comps):
@@ -338,6 +343,37 @@ def test_poset_axioms_on_enumerated_set(pm_b):
             for k in range(n):
                 if mat[i][j] and mat[j][k]:
                     assert mat[i][k]
+
+
+# -- the comparison matrix -----------------------------------------------------
+
+
+@functools.cache
+def comparison_pool(name):
+    """About 30 enumerated data over a fixture model, one- and two-component,
+    genus 0 and 1, labels from two windows; with their pairwise matrix."""
+    model = FormalPairModel.from_json({"b": PAIR_MODEL_B, "c": PAIR_MODEL_C}[name])
+    data = enumerate_relative_data(model, windows=(0, 1), genus_values=(0, 1), components=2)
+    data = data[:: len(data) // 30][:30]
+    pairwise = [[a != b and precedes(model, a, b) for b in data] for a in data]
+    return model, data, pairwise
+
+
+@pytest.mark.parametrize("name", ["b", "c"])
+def test_comparison_matrix_matches_pairwise_precedes(name):
+    model, data, pairwise = comparison_pool(name)
+    assert any(len(rd.components) == 2 for rd in data)
+    assert any(map(any, pairwise))  # the pool is not an antichain
+    assert comparison_matrix(model, data) == pairwise
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["b", "c"]), st.data())
+def test_comparison_matrix_on_subsets(name, draw):
+    model, data, pairwise = comparison_pool(name)
+    picks = draw.draw(st.lists(st.integers(0, len(data) - 1), max_size=8))
+    subset = [data[i] for i in picks]  # repeats allowed: equal data never compare
+    assert comparison_matrix(model, subset) == [[pairwise[i][j] for j in picks] for i in picks]
 
 
 # -- linear extension and the matrix -------------------------------------------
