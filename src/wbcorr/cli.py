@@ -346,8 +346,13 @@ def _cmd_assemble(args):
 def _cmd_solve(args):
     if not args.matrix or not args.vector:
         raise DomainError("solve needs --matrix and --vector")
-    L = [[parse_rational(x) for x in row] for row in _load_json(args.matrix)]
-    v = [parse_rational(x) for x in _load_json(args.vector)]
+    matrix, vector = _load_json(args.matrix), _load_json(args.vector)
+    if not (isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)):
+        raise SchemaError("matrix must be a JSON array of arrays")
+    if not isinstance(vector, list):
+        raise SchemaError("vector must be a JSON array")
+    L = [[parse_rational(x) for x in row] for row in matrix]
+    v = [parse_rational(x) for x in vector]
     x = corr.solve_lower_triangular(L, v)
     doc = {"solution": [_rat(value) for value in x]}
     _emit(args, doc, [_rat(value) for value in x])

@@ -38,13 +38,30 @@ Three standing constraints make the search sound:
   components are exactly the pre-minimal ones; a pre-minimal bubble datum
   glues without effect, and condition (P2) of the order demands it be
   minimal (dual insertions) whenever it is the whole witness.
+
+The witness search
+------------------
+A search tries each map from host components to target components.  A map
+splits the problem into cells: the hosts sent to one target component,
+glued into it by bubble blocks.  One pass over a cell's arrangements
+(partitions of the host markings into blocks, then assignments of the
+target markings to blocks) records the first arrangement of each kind the
+search can use: one with a free block, one of pre-minimal blocks only, and
+one of minimal blocks only.  The pass reads contacts as integers over the
+cell's common denominator; classes, as ``Fraction`` vectors, are written
+only when the chosen arrangements are built into a witness.  A cell record
+depends only on the content of its components, so ``comparison_matrix``
+keeps one memo of records for the searches of its call; nothing is cached
+across calls.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -391,217 +408,214 @@ def _set_partitions(items):
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
 
 
-def _unit_pairing_vector(model: FormalPairModel):
-    norm = sum((z * z for z in model.z_pairing), Rational(0))
-    return tuple(z / norm for z in model.z_pairing)
+class _Arrangement(NamedTuple):
+    """Bubble blocks of one cell: ``parts[k]`` lists the positions (in the
+    cell's host-marking list) of block k's infinity tags, and ``assign[z]``
+    is the block that takes the cell's z-th zero marking."""
+
+    parts: tuple
+    assign: tuple
 
 
-@dataclass
-class _CellPlan:
-    """A constructible bubble arrangement for one target component."""
+class _CellRecord(NamedTuple):
+    """The first arrangement of a cell of each kind the search can use, or
+    None: with at least one free block, all pre-minimal, all minimal."""
 
-    blocks: list  # dicts with keys: tags, zero, genus, absolute, cls
-    all_pre_minimal: bool
-    all_minimal: bool
+    with_b: _Arrangement | None
+    pre_minimal: _Arrangement | None
+    minimal: _Arrangement | None
 
 
-def _cell_plans(model, comps1, p_indices, c2comp, want):
-    """Enumerate bubble arrangements gluing the host components ``p_indices``
-    into ``c2comp``.  Yields _CellPlan objects; ``want`` selects early exit
-    ("summary" mode collects capability flags only)."""
-    P = [comps1[i] for i in p_indices]
+_NO_BLOCKS = _Arrangement((), ())
+
+
+def _host_tags(P):
+    """The cell's host divisor markings as (position in ``P``, marking)."""
+    return [(pos, m) for pos, p in enumerate(P) for m in p.relative]
+
+
+def _class_gap(P, c2comp):
+    """The class the blocks of a cell must supply: target minus hosts."""
+    return tuple(c - sum(p.cls[i] for p in P) for i, c in enumerate(c2comp.cls))
+
+
+def _cell_record(model, P, c2comp) -> _CellRecord:
+    """Enumerate, in one pass, the bubble arrangements gluing the host
+    components ``P`` (a tuple, in host order) into the target component
+    ``c2comp``, and record the first of each kind.
+
+    Arrangements run over set partitions of the host markings into blocks,
+    then over assignments of the target markings to blocks, in a fixed
+    order.  Contacts are integers over the cell's common denominator, so the
+    effectivity test never builds a ``Fraction``.  Stops once a free and an
+    all-minimal arrangement are both found.
+    """
     # components without divisor markings cannot attach to anything
     if any(not p.relative for p in P):
         if len(P) == 1 and P[0] == c2comp:
-            yield _CellPlan(blocks=[], all_pre_minimal=True, all_minimal=True)
-        return
+            return _CellRecord(None, _NO_BLOCKS, _NO_BLOCKS)
+        return _CellRecord(None, None, None)
+    zeros = c2comp.relative
     if not P:
         # one standalone block carrying the whole target component
-        if want == "all_a":
-            return
-        block = {
-            "tags": [],
-            "zero": list(c2comp.relative),
-            "genus": c2comp.genus,
-            "absolute": list(c2comp.absolute),
-            "cls": c2comp.cls,
-        }
-        yield _CellPlan(blocks=[block], all_pre_minimal=False, all_minimal=False)
-        return
+        return _CellRecord(_Arrangement(((),), (0,) * len(zeros)), None, None)
 
     abs_host = Counter(m for p in P for m in p.absolute)
     abs_target = Counter(c2comp.absolute)
     if abs_host - abs_target:
-        return
-    abs_extra = list((abs_target - abs_host).elements())
+        return _CellRecord(None, None, None)
+    n_abs_extra = (abs_target - abs_host).total()
     base_genus = sum(p.genus for p in P)
-    cls_p = [sum(col) for col in zip(*(p.cls for p in P))]
-    T = tuple(a - b for a, b in zip(c2comp.cls, cls_p))
-    tagged = [(i, m) for i in p_indices for m in comps1[i].relative]
-    zeros = list(c2comp.relative)
-    unit = _unit_pairing_vector(model)
-    zero_fz = all(x == 0 for x in model.fz_class)
+    tags = _host_tags(P)
+    # contacts as integers over one common denominator
+    contacts = [m.contact for _, m in tags] + [m.contact for m in zeros]
+    denom = math.lcm(*(c.denominator for c in contacts))
+    scaled = [c.numerator * (denom // c.denominator) for c in contacts]
+    tag_int, zero_int = scaled[: len(tags)], scaled[len(tags) :]
+    tag_bit = [1 << pos for pos, _ in tags]
+    everyone = (1 << len(P)) - 1
+    n_zeros = len(zeros)
+    fiber_fits = None  # whether the class gap is the fiber class of all tags
 
-    for partition in _set_partitions(tagged):
-        q = len(partition)
-        uf = _UnionFind([("r", i) for i in p_indices] + [("b", k) for k in range(q)])
-        for k, block in enumerate(partition):
-            for ci, _m in block:
-                uf.union(("r", ci), ("b", k))
-        roots = {uf.find(("r", i)) for i in p_indices} | {uf.find(("b", k)) for k in range(q)}
-        if len(roots) != 1:
+    with_b = pre_minimal = minimal = None
+    for parts in _set_partitions(list(range(len(tags)))):
+        q = len(parts)
+        # the hosts and blocks must form one connected component: grow the
+        # set of hosts reached from the first block, one block at a time
+        hosts = [sum({tag_bit[t] for t in part}) for part in parts]  # bit masks
+        reach, grown = hosts[0], True
+        while grown:
+            grown = False
+            for bits in hosts:
+                if bits & reach and bits | reach != reach:
+                    reach, grown = reach | bits, True
+        if reach != everyone:
             continue
-        b1 = len(tagged) - (len(p_indices) + q) + 1
+        b1 = len(tags) - (len(P) + q) + 1
         slack = c2comp.genus - base_genus - b1
         if slack < 0:
             continue
-        for assign in product(range(q), repeat=len(zeros)):
-            block_zeros = [[] for _ in range(q)]
-            for z_idx, k in enumerate(assign):
-                block_zeros[k].append(zeros[z_idx])
+        resources = slack + n_abs_extra
+        inf_sums = [-sum(tag_int[t] for t in part) for part in parts]
+        singles = [len(part) == 1 for part in parts]
+        for assign in product(range(q), repeat=n_zeros):
+            flux = inf_sums[:]
+            for z, k in enumerate(assign):
+                flux[k] += zero_int[z]
             # every block must weakly increase contact (effectivity cone)
-            fluxes = [
-                sum((z.contact for z in block_zeros[k]), Rational(0))
-                - sum((m.contact for _ci, m in partition[k]), Rational(0))
-                for k in range(q)
-            ]
-            if any(fx < 0 for fx in fluxes):
+            if min(flux) < 0:
                 continue
             # classify the (1 inf, 1 zero) blocks
-            matched = [None] * q  # True/False for one-one blocks, None otherwise
+            others = num_mm = 0
+            dual = True
             for k in range(q):
-                if len(partition[k]) == 1 and len(block_zeros[k]) == 1:
-                    (ci, src), z = partition[k][0], block_zeros[k][0]
-                    matched[k] = z.sector == src.sector and z.contact == src.contact
-            num_mm = sum(1 for x in matched if x is False)
-            others = [k for k in range(q) if matched[k] is None]
-            resources = slack + len(abs_extra)
-            with_b_possible = bool(others or abs_extra or slack > 0) and num_mm <= resources
-            # fiber classes of clean matched blocks
-            fiber_total = tuple(Rational(0) for _ in range(model.rank))
-            if not zero_fz:
-                for k in range(q):
-                    if matched[k] is True:
-                        u = partition[k][0][1].contact
-                        fiber_total = tuple(
-                            a + u * x for a, x in zip(fiber_total, model.fz_class)
-                        )
-            all_a_possible = (
-                not others
-                and num_mm == 0
-                and not abs_extra
-                and slack == 0
-                and T == fiber_total
-            )
-            if not (with_b_possible or all_a_possible):
-                continue
-            if want == "summary":
-                all_min = all_a_possible and all(
-                    block_zeros[k][0].j == partition[k][0][1].j
-                    and block_zeros[k][0].ell == partition[k][0][1].ell
-                    for k in range(q)
-                )
-                yield _CellPlan(blocks=[], all_pre_minimal=all_a_possible, all_minimal=all_min)
-                continue
-            if want == "all_a":
-                if not all_a_possible:
+                if not singles[k] or assign.count(k) != 1:
+                    others += 1
                     continue
-                blocks = []
-                all_min = True
-                for k in range(q):
-                    (ci, src) = partition[k][0]
-                    u = src.contact
-                    z = block_zeros[k][0]
-                    all_min = all_min and z.j == src.j and z.ell == src.ell
-                    blocks.append(
-                        {
-                            "tags": list(partition[k]),
-                            "zero": block_zeros[k],
-                            "genus": 0,
-                            "absolute": [],
-                            "cls": tuple(u * x for x in model.fz_class),
-                        }
-                    )
-                yield _CellPlan(blocks=blocks, all_pre_minimal=True, all_minimal=all_min)
-                continue
-            # want == "with_b": build a concrete arrangement with >= 1 free block
-            if not with_b_possible:
-                continue
-            genus_extra = [0] * q
-            abs_assign = [[] for _ in range(q)]
-            slack_left = slack
-            abs_left = list(abs_extra)
-            ok = True
-            for k in range(q):
-                if matched[k] is False:
-                    if slack_left > 0:
-                        genus_extra[k] += 1
-                        slack_left -= 1
-                    elif abs_left:
-                        abs_assign[k].append(abs_left.pop())
-                    else:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            free = [
-                k
-                for k in range(q)
-                if matched[k] is None
-                or matched[k] is False
-                or genus_extra[k]
-                or abs_assign[k]
-            ]
-            if not free:
-                # promote one matched block by giving it the leftovers
-                if slack_left > 0:
-                    genus_extra[0] += 1
-                    slack_left -= 1
-                elif abs_left:
-                    abs_assign[0].append(abs_left.pop())
-                else:
-                    continue
-                free = [0]
-            sink = free[0]
-            genus_extra[sink] += slack_left
-            abs_assign[sink].extend(abs_left)
-            blocks = []
-            classes = []
-            for k in range(q):
-                is_free = k in free
-                if is_free:
-                    cls = tuple(fluxes[k] * x for x in unit)
-                else:
-                    u = partition[k][0][1].contact
-                    cls = tuple(u * x for x in model.fz_class)
-                classes.append(list(cls))
-            remainder = [t - sum(col) for t, col in zip(T, zip(*classes))]
-            classes[sink] = [c + r for c, r in zip(classes[sink], remainder)]
-            for k in range(q):
-                blocks.append(
-                    {
-                        "tags": list(partition[k]),
-                        "zero": block_zeros[k],
-                        "genus": genus_extra[k],
-                        "absolute": abs_assign[k],
-                        "cls": tuple(classes[k]),
-                    }
-                )
-            yield _CellPlan(blocks=blocks, all_pre_minimal=False, all_minimal=False)
+                t, z = parts[k][0], assign.index(k)
+                src, zm = tags[t][1], zeros[z]
+                if zero_int[z] != tag_int[t] or zm.sector != src.sector:
+                    num_mm += 1
+                elif zm.j != src.j or zm.ell != src.ell:
+                    dual = False
+            if with_b is None and (others or resources) and num_mm <= resources:
+                with_b = _Arrangement(parts, assign)
+            if (
+                minimal is None
+                and (dual or pre_minimal is None)
+                and not (others or num_mm or resources)
+            ):
+                if fiber_fits is None:
+                    total = sum((m.contact for _, m in tags), Rational(0))
+                    fiber_fits = _class_gap(P, c2comp) == tuple(total * x for x in model.fz_class)
+                if fiber_fits:
+                    if pre_minimal is None:
+                        pre_minimal = _Arrangement(parts, assign)
+                    if dual:
+                        minimal = _Arrangement(parts, assign)
+            if with_b is not None and minimal is not None:
+                return _CellRecord(with_b, pre_minimal, minimal)
+    return _CellRecord(with_b, pre_minimal, minimal)
 
 
-def _cell_summary(model, comps1, p_indices, c2comp):
-    has_any = has_b = all_a = all_a_min = False
-    for plan in _cell_plans(model, comps1, p_indices, c2comp, "summary"):
-        has_any = True
-        if plan.all_pre_minimal:
-            all_a = True
-            all_a_min = all_a_min or plan.all_minimal
+def _cell_blocks(model, comps1, p_indices, c2comp, arrangement, free):
+    """Build the bubble blocks of one cell arrangement (dicts with keys
+    tags, zero, genus, absolute, cls; tags name host indices).  With
+    ``free`` the arrangement is a free one of ``_cell_record``, and classes,
+    genera and extra ambient markings are spread over its blocks; otherwise
+    every block is pre-minimal and carries its fiber class."""
+    P = [comps1[i] for i in p_indices]
+    tags = [(p_indices[pos], m) for pos, m in _host_tags(P)]
+    parts = [[tags[t] for t in part] for part in arrangement.parts]
+    block_zeros = [[] for _ in parts]
+    for z, k in zip(c2comp.relative, arrangement.assign):
+        block_zeros[k].append(z)
+    if not free:
+        return [
+            {
+                "tags": part,
+                "zero": zeros,
+                "genus": 0,
+                "absolute": [],
+                "cls": tuple(part[0][1].contact * x for x in model.fz_class),
+            }
+            for part, zeros in zip(parts, block_zeros)
+        ]
+    q = len(parts)
+    b1 = len(tags) - (len(P) + q) + 1
+    slack_left = c2comp.genus - sum(p.genus for p in P) - b1
+    abs_host = Counter(m for p in P for m in p.absolute)
+    abs_left = list((Counter(c2comp.absolute) - abs_host).elements())
+    # True/False for one-one blocks (matched ends or not), None otherwise
+    matched = [
+        zeros[0].sector == part[0][1].sector and zeros[0].contact == part[0][1].contact
+        if len(part) == 1 and len(zeros) == 1
+        else None
+        for part, zeros in zip(parts, block_zeros)
+    ]
+    genus_extra = [0] * q
+    abs_assign = [[] for _ in range(q)]
+    for k in range(q):
+        # a mismatched one-one block needs genus or an ambient marking
+        if matched[k] is False:
+            if slack_left > 0:
+                genus_extra[k] += 1
+                slack_left -= 1
+            else:
+                abs_assign[k].append(abs_left.pop())
+    free_blocks = [k for k in range(q) if not matched[k] or genus_extra[k] or abs_assign[k]]
+    if not free_blocks:
+        # promote one matched block by giving it the leftovers
+        if slack_left > 0:
+            genus_extra[0] += 1
+            slack_left -= 1
         else:
-            has_b = True
-        if has_b and all_a_min:
-            break
-    return has_any, has_b, all_a, all_a_min
+            abs_assign[0].append(abs_left.pop())
+        free_blocks = [0]
+    sink = free_blocks[0]
+    genus_extra[sink] += slack_left
+    abs_assign[sink].extend(abs_left)
+    classes = []
+    for k in range(q):
+        if k in free_blocks:
+            flux = sum((z.contact for z in block_zeros[k]), Rational(0)) - sum(
+                (m.contact for _ci, m in parts[k]), Rational(0)
+            )
+            classes.append([flux * x for x in model.unit_pairing])
+        else:
+            classes.append([parts[k][0][1].contact * x for x in model.fz_class])
+    remainder = [t - sum(col) for t, col in zip(_class_gap(P, c2comp), zip(*classes))]
+    classes[sink] = [c + r for c, r in zip(classes[sink], remainder)]
+    return [
+        {
+            "tags": parts[k],
+            "zero": block_zeros[k],
+            "genus": genus_extra[k],
+            "absolute": abs_assign[k],
+            "cls": tuple(classes[k]),
+        }
+        for k in range(q)
+    ]
 
 
 def find_precedence_witness(
@@ -624,8 +638,14 @@ def find_precedence_witness(
     return _search(model, rd1, rd2, max_components)
 
 
-def _search(model, rd1, rd2, max_components):
-    """The witness search of ``find_precedence_witness`` on validated data."""
+def _search(model, rd1, rd2, max_components, memo=None):
+    """The witness search of ``find_precedence_witness`` on validated data.
+
+    ``memo``, when given, is ``(records, keys1, keys2)``: a dict of cell
+    records shared by the searches of one request, and the components of
+    ``rd1`` and ``rd2`` interned to small ints by content (see
+    ``comparison_matrix``).
+    """
     comps1, comps2 = rd1.components, rd2.components
     bound = len(rd1.relative_markings()) + len(comps2)
     if bound > max_components:
@@ -645,41 +665,31 @@ def _search(model, rd1, rd2, max_components):
         preimages = [[] for _ in comps2]
         for i, target in enumerate(f):
             preimages[target].append(i)
-        summaries = []
-        feasible = True
-        for c2_idx, comp2 in enumerate(comps2):
-            s = _cell_summary(model, comps1, preimages[c2_idx], comp2)
-            if not s[0]:
-                feasible = False
+        records = []
+        for c2_idx, (hosts, comp2) in enumerate(zip(preimages, comps2)):
+            if memo is None:
+                rec = _cell_record(model, tuple(comps1[i] for i in hosts), comp2)
+            else:
+                cells, keys1, keys2 = memo
+                key = (tuple(keys1[i] for i in hosts), keys2[c2_idx])
+                rec = cells.get(key)
+                if rec is None:
+                    rec = cells[key] = _cell_record(model, tuple(comps1[i] for i in hosts), comp2)
+            if rec.with_b is None and rec.pre_minimal is None:
                 break
-            summaries.append(s)
-        if not feasible:
+            records.append(rec)
+        if len(records) < len(comps2):
             continue
-        any_b = any(s[1] for s in summaries)
-        if not (any_b or all(s[3] for s in summaries)):
+        any_b = any(rec.with_b is not None for rec in records)
+        if not (any_b or all(rec.minimal is not None for rec in records)):
             continue
         # construct: if a free block exists anywhere, prefer free arrangements
         # (condition (P2) is then vacuous); otherwise build the all-minimal witness
         witness_blocks = []
-        ok = True
-        for c2_idx, comp2 in enumerate(comps2):
-            _has_any, has_b, _all_a, _all_a_min = summaries[c2_idx]
-            mode_order = ["with_b", "all_a"] if (any_b and has_b) else ["all_a"]
-            plan = None
-            for mode in mode_order:
-                for cand in _cell_plans(model, comps1, preimages[c2_idx], comp2, mode):
-                    if mode == "all_a" and not any_b and not cand.all_minimal:
-                        continue
-                    plan = cand
-                    break
-                if plan is not None:
-                    break
-            if plan is None:
-                ok = False
-                break
-            witness_blocks.extend(plan.blocks)
-        if not ok:
-            continue
+        for hosts, comp2, rec in zip(preimages, comps2, records):
+            free = any_b and rec.with_b is not None
+            arrangement = rec.with_b if free else rec.pre_minimal if any_b else rec.minimal
+            witness_blocks += _cell_blocks(model, comps1, hosts, comp2, arrangement, free)
         glued = _glue_tagged(model, comps1, witness_blocks)
         if glued != rd2:
             raise AssertionError("constructed witness does not reproduce the target datum")
@@ -725,13 +735,21 @@ def comparison_matrix(
     Validates each datum once, in input order, then searches each ordered
     pair of distinct data once, row by row; so an invalid datum raises
     before any search, and a pair over the cap raises SearchLimitError.
+    The searches share one memo of cell records, which lives as long as
+    this call; components are interned by content once, up front.
     """
     items = list(data)
     for rd in items:
         model.validate_relative_data(rd)
+    ids: dict = {}
+    keys = [tuple(ids.setdefault(c, len(ids)) for c in rd.components) for rd in items]
+    cells: dict = {}
     return [
-        [a != b and _search(model, a, b, max_components) is not None for b in items]
-        for a in items
+        [
+            a != b and _search(model, a, b, max_components, (cells, ka, kb)) is not None
+            for b, kb in zip(items, keys)
+        ]
+        for a, ka in zip(items, keys)
     ]
 
 

@@ -30,6 +30,7 @@ to derive it from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, SchemaError
 from .local_model import LocalModel
@@ -657,6 +658,12 @@ class FormalPairModel:
 
     def zp(self, cls):
         return sum((Rational(z) * Rational(c) for z, c in zip(self.z_pairing, cls)), Rational(0))
+
+    @cached_property
+    def unit_pairing(self) -> tuple:
+        """The multiple of the divisor pairing vector that pairs to 1."""
+        norm = self.zp(self.z_pairing)
+        return tuple(z / norm for z in self.z_pairing)
 
     def push(self, cls) -> tuple:
         return tuple(

@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from wbcorr import FormalPairModel, LocalModel, enumerate_relative_data, precedes, rationals
+from wbcorr import (
+    FormalPairModel,
+    LocalModel,
+    RelativeData,
+    enumerate_relative_data,
+    precedes,
+    rationals,
+)
 from wbcorr import correspondence as corr
 from wbcorr import ranking as rank_ops
 from wbcorr.cli import VERB_OPERATIONS, main
@@ -307,9 +314,9 @@ def test_order_searches_each_pair_once(capsys, tmp_path, pair_model_path, monkey
     searches, validations = [], []
     search, validate = corr._search, FormalPairModel.validate_relative_data
 
-    def counted_search(model, rd1, rd2, max_components):
+    def counted_search(model, rd1, rd2, max_components, memo=None):
         searches.append((id(rd1), id(rd2)))  # the four loaded data stay alive
-        return search(model, rd1, rd2, max_components)
+        return search(model, rd1, rd2, max_components, memo)
 
     def counted_validate(model, rd):
         validations.append(rd)
@@ -327,6 +334,39 @@ def test_order_searches_each_pair_once(capsys, tmp_path, pair_model_path, monkey
         "--max-components", "1",
     )
     assert code == 1 and err.startswith("SearchLimitError") and err.count("\n") == 1
+
+
+def test_order_enumerates_each_cell_once_per_request(
+    capsys, tmp_path, pair_model_path, monkeypatch
+):
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps(_chain_docs()))
+    cells = []
+    record = corr._cell_record
+
+    def counted_record(model, hosts, target):
+        cells.append((hosts, target))  # by content: tuples of frozen components
+        return record(model, hosts, target)
+
+    monkeypatch.setattr(corr, "_cell_record", counted_record)
+    model = FormalPairModel.from_json(PAIR_MODEL_B)
+    data = [RelativeData.from_json(doc) for doc in _chain_docs()]
+    for a in data:
+        for b in data:
+            if a != b:
+                precedes(model, a, b)  # no memo: cells are enumerated per search
+    pairwise = list(cells)
+    assert len(pairwise) > len(set(pairwise))
+
+    per_request = []
+    for _ in range(2):
+        cells.clear()
+        code, _, _ = run(capsys, "order", "--pair-model", pair_model_path, "--data", str(data_path))
+        assert code == 0
+        assert len(cells) == len(set(cells)) and set(cells) == set(pairwise)
+        per_request.append(list(cells))
+    # the memo lives as long as one request: the second one starts afresh
+    assert per_request[0] == per_request[1]
 
 
 def test_solve(capsys, tmp_path):
@@ -435,3 +475,10 @@ def test_exit_codes(capsys, model_path, tmp_path, pair_model_path):
         data_path.write_text(json.dumps(docs))
         code, out, err = run(capsys, "order", "--pair-model", pair_model_path, "--data", str(data_path))
         assert code == 1 and not out and "H-power 99" in err and err.count("\n") == 1
+    # solve takes an array of arrays and an array
+    mpath, vpath = tmp_path / "L.json", tmp_path / "v.json"
+    for matrix, vector in ((5, ["1"]), ([1, 2], ["1", "2"]), ({"12": 1}, ["1"]), ([["1"]], 5)):
+        mpath.write_text(json.dumps(matrix))
+        vpath.write_text(json.dumps(vector))
+        code, out, err = run(capsys, "solve", "--matrix", str(mpath), "--vector", str(vpath))
+        assert code == 2 and not out and err.startswith("SchemaError") and err.count("\n") == 1

@@ -75,6 +75,15 @@ def test_lattice_operations(pm_b):
     assert pm_b.lift((Q(3),)) == (Q(3), Q(0))
 
 
+def test_unit_pairing_is_memoised_per_model(pm_b, pm_codim1):
+    for model in (pm_b, pm_codim1):
+        unit = model.unit_pairing
+        norm = model.zp(model.z_pairing)
+        assert model.zp(unit) == 1
+        assert tuple(u * norm for u in unit) == model.z_pairing  # along the pairing
+        assert model.unit_pairing is unit
+
+
 def test_solve_exact_inconsistent_and_underdetermined():
     assert solve_exact([[1, 0], [0, 1]], [2, 3]) == (Q(2), Q(3))
     assert solve_exact([[1], [2]], [1, 3]) is None

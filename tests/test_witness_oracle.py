@@ -124,10 +124,11 @@ def oracle_witnesses(model, rd1, rd2):
         groups += [[("b", len(attached) + s)] for s in range(n_standalone)]
         infinity = [[model.dual_marking(m) for _ci, m in part] for part in attached]
         infinity += [[] for _ in range(n_standalone)]
-        for zero_of in product(range(n_blocks), repeat=len(zeros)):
-            block_zeros = [[z for z, k in zip(zeros, zero_of) if k == b] for b in range(n_blocks)]
-            for abs_of in product(range(n_blocks), repeat=len(extra_abs)):
-                block_abs = [[a for a, k in zip(extra_abs, abs_of) if k == b] for b in range(n_blocks)]
+        blocks = range(n_blocks)
+        for zero_of in product(blocks, repeat=len(zeros)):
+            block_zeros = [[z for z, k in zip(zeros, zero_of) if k == b] for b in blocks]
+            for abs_of in product(blocks, repeat=len(extra_abs)):
+                block_abs = [[a for a, k in zip(extra_abs, abs_of) if k == b] for b in blocks]
                 for genera in compositions(slack, n_blocks):
                     yield from _with_classes(
                         model, rd1, rd2, groups, infinity, block_zeros, block_abs, genera, e
@@ -204,9 +205,11 @@ def oracle_pool(name):
     Labels come from window 0.  The pool holds single components with up to
     2 divisor markings, genus 0 and 1; two-component data with 2 and with 3
     markings; each 3-marking datum merged into one genus-1 component; and
-    some singles with a markingless component added.  The last two kinds
-    are preceded by what they were built from, so the pool has comparable
-    pairs across component counts.
+    some singles with a markingless component added.  Those two kinds are
+    preceded by what they were built from, so the pool has comparable pairs
+    across component counts.  Last, some components next to a copy with the
+    basis index of one marking swapped: only a pre-minimal bubble datum that
+    is not minimal glues one into the other, so (P2) decides those pairs.
     """
     model = FormalPairModel.from_json({"b": PAIR_MODEL_B, "c": PAIR_MODEL_C}[name])
     everything = enumerate_relative_data(
@@ -235,12 +238,15 @@ def oracle_pool(name):
         )
     for rd in singles[1 :: len(singles) // 3][:3]:
         data += [rd, RelativeData(rd.components + (bare,))]
-    for c in [c for c in ones + twos if model.sigma_size(model.z_sector(c.relative[0].sector).pi) == 2][::40][:3]:
+    two_element_basis = [
+        c for c in ones + twos if model.sigma_size(model.z_sector(c.relative[0].sector).pi) == 2
+    ]
+    for c in two_element_basis[::40][:3]:
         m = c.relative[0]
-        swapped = RelativeMarking(m.sector, m.contact, 3 - m.j, m.ell)
+        swapped = (RelativeMarking(m.sector, m.contact, 3 - m.j, m.ell),) + c.relative[1:]
         data += [
             RelativeData((c,)),
-            RelativeData((ConnectedRelativeData(c.genus, c.cls, c.absolute, (swapped,) + c.relative[1:]),)),
+            RelativeData((ConnectedRelativeData(c.genus, c.cls, c.absolute, swapped),)),
         ]
     data = list(dict.fromkeys(data))
     assert all(
