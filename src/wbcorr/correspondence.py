@@ -447,8 +447,11 @@ def _cell_record(model, P, c2comp) -> _CellRecord:
     Arrangements run over set partitions of the host markings into blocks,
     then over assignments of the target markings to blocks, in a fixed
     order.  Contacts are integers over the cell's common denominator, so the
-    effectivity test never builds a ``Fraction``.  Stops once a free and an
-    all-minimal arrangement are both found.
+    effectivity test never builds a ``Fraction``.  Stops at the first free
+    or the first all-minimal arrangement, since a cell never has both: an
+    all-pre-minimal arrangement exists only at the all-singleton partition
+    of a single host with slack 0, where every block needs exactly one zero
+    marking, so no block is free; every coarser partition has slack < 0.
     """
     # components without divisor markings cannot attach to anything
     if any(not p.relative for p in P):
@@ -533,7 +536,7 @@ def _cell_record(model, P, c2comp) -> _CellRecord:
                         pre_minimal = _Arrangement(parts, assign)
                     if dual:
                         minimal = _Arrangement(parts, assign)
-            if with_b is not None and minimal is not None:
+            if with_b is not None or minimal is not None:
                 return _CellRecord(with_b, pre_minimal, minimal)
     return _CellRecord(with_b, pre_minimal, minimal)
 

@@ -66,7 +66,7 @@ def h_invariant(model: LocalModel, R, d: int):
     _check_d(model, R, d)
     r = model.r
     taus, tau_den = tau_numerators(model, R)
-    num, den = int(R.numerator) ** d, r * int(R.denominator) ** d
+    num, den = R.numerator**d, r * R.denominator**d
     for u, (b, t) in enumerate(zip(model.beta, taus), start=1):
         m = t // tau_den
         f_num, f_den = gen_factorial_ints(b + m * r, r, m)

@@ -391,26 +391,6 @@ def solve_exact(rows, rhs):
     return tuple(x)
 
 
-def matrix_rank(rows) -> int:
-    """Rational rank of a matrix (used for model validation)."""
-    work = [[Rational(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        work[rank] = [x / lead for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # sector tables
 
@@ -568,9 +548,13 @@ class FormalPairModel:
         if self.codim >= 2:
             if self.zp(self.f_class) <= 0:
                 raise SchemaError("the fiber class must pair positively with the divisor")
-            stacked = [list(row) for row in self.kappa_push] + [list(self.z_pairing)]
-            if matrix_rank(stacked) != self.rank:
-                raise SchemaError("pushforward and divisor pairing do not determine classes uniquely")
+            # the homogeneous system is consistent; its solution is unique
+            # exactly when the stacked rows have full column rank
+            stacked = [*self.kappa_push, self.z_pairing]
+            try:
+                solve_exact(stacked, [0] * len(stacked))
+            except DomainError:
+                raise SchemaError("pushforward and divisor pairing do not determine classes uniquely") from None
 
     def to_json(self) -> dict:
         return {

@@ -52,10 +52,10 @@ def tau_numerators(model: LocalModel, R) -> tuple[list[int], int]:
     """``tau(R, j)`` for every coordinate as integer numerators over one denominator.
 
     With ``R = p/q`` the numerators are ``alpha_j r p - beta_j q`` over ``r q``,
-    plain ints whatever the rational backend.  Package-internal integer
-    kernel, shared with ``invariants.h_invariant``; not exported.
+    all plain ints.  Package-internal integer kernel, shared with
+    ``invariants.h_invariant``; not exported.
     """
-    p, q = int(R.numerator), int(R.denominator)
+    p, q = R.numerator, R.denominator
     rp = model.r * p
     return [a * rp - b * q for b, a in zip(model.beta, model.alpha)], model.r * q
 

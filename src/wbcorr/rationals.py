@@ -1,24 +1,11 @@
 """Exact rational arithmetic.
 
-Every quantity in this package is an exact rational; nothing is ever
-evaluated in floating point, and there is no overflow (Python integers and
-GMP integers are arbitrary precision).  Hot kernels keep numerators and
-denominators as integers and build one rational at the end: the
+Every quantity in this package is an exact ``fractions.Fraction``;
+nothing is ever evaluated in floating point, and there is no overflow
+(Python integers are arbitrary precision).  Hot kernels keep numerators
+and denominators as integers and build one rational at the end: the
 generalized factorial, for one, is a single integer product over a power
 of the denominator.
-
-Two interchangeable backends provide the ``Rational`` constructor:
-
-* ``gmpy2.mpq`` -- a compiled GMP extension, used automatically when gmpy2
-  is importable (expected to be faster on the enumeration-heavy kernels;
-  not measured, as the recorded benchmarks ran without gmpy2);
-* ``fractions.Fraction`` -- the pure-Python stdlib fallback.
-
-Both store values reduced with a positive denominator, print as ``p/q``
-(``q`` omitted when 1), and hash equal for equal values, so objects from
-the two backends mix safely in arithmetic and containers.  The default is
-picked once at import; ``set_backend`` exists for the benchmark script and
-backend-equivalence tests and is not thread-safe.
 """
 
 from __future__ import annotations
@@ -27,60 +14,21 @@ import math
 import re
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    _HAVE_GMP = True
-except ImportError:  # pragma: no cover - environment without gmpy2
-    _mpq = None
-    _HAVE_GMP = False
-
-_BACKENDS = {"fraction": Fraction}
-if _HAVE_GMP:
-    _BACKENDS["gmp"] = _mpq
-
-#: Name of the active backend ("gmp" or "fraction").
-BACKEND = "gmp" if _HAVE_GMP else "fraction"
-
-_active = _BACKENDS[BACKEND]
+#: Name of the rational type, recorded in benchmark metadata.
+BACKEND = "fraction"
 
 
 def Rational(*args):
-    """Construct an exact rational with the active backend.
+    """Construct an exact rational from ints, rationals or ``p/q`` strings.
 
-    Accepts ints, rationals of either backend, or ``p/q`` strings.  A stable
-    callable (rather than a class alias) so that ``set_backend`` takes
-    effect everywhere, however the name was imported.  A value that is
-    already of the active type is returned as is: it is immutable and
-    reduced, and kernels convert their arguments at every entry point.
+    A value that is already a ``Fraction`` is returned as is: it is
+    immutable and reduced, and kernels convert their arguments at every
+    entry point.  A function, not an alias of ``Fraction``, so that call
+    counters wrapping this module's functions see every construction.
     """
-    if len(args) == 1 and type(args[0]) is _active:
+    if len(args) == 1 and type(args[0]) is Fraction:
         return args[0]
-    return _active(*args)
-
-
-def rational_type():
-    """The concrete class of the active backend."""
-    return _active
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def set_backend(name: str):
-    """Select the rational backend; returns the previous backend name.
-
-    Benchmark/test hook only: values produced under different backends
-    interoperate, but swapping mid-computation is not thread-safe.
-    """
-    global _active, BACKEND
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; available: {available_backends()}")
-    previous = BACKEND
-    BACKEND = name
-    _active = _BACKENDS[name]
-    return previous
+    return Fraction(*args)
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -157,4 +105,4 @@ def gen_factorial(c, m: int):
     if m != int(m) or m < -1:
         raise ValueError(f"gen_factorial needs an integer m >= -1, got {m!r}")
     c = Rational(c)
-    return Rational(*gen_factorial_ints(int(c.numerator), int(c.denominator), int(m)))
+    return Rational(*gen_factorial_ints(c.numerator, c.denominator, int(m)))

@@ -1,6 +1,10 @@
 import copy
+import math
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbcorr import DomainError, FormalPairModel, SchemaError, enumerate_relative_data
 from wbcorr.pair_model import (
@@ -9,7 +13,6 @@ from wbcorr.pair_model import (
     RelativeData,
     RelativeMarking,
     load_data,
-    matrix_rank,
     solve_exact,
 )
 from wbcorr.rationals import Rational as Q
@@ -56,6 +59,7 @@ def test_model_lookup_helpers(pm_b):
         lambda d: d["lattice"].update(kappa_push=[[1, 0], [0, 1]]),
         lambda d: d["lattice"].update(rank=3),
         lambda d: d.update(k_classes=["one_X", "one_X"]),
+        lambda d: d["lattice"].update(kappa_push=[[0, 0]]),  # rank 1 < 2 with Z_pairing
     ],
 )
 def test_model_validation_rejects(mutate):
@@ -89,7 +93,55 @@ def test_solve_exact_inconsistent_and_underdetermined():
     assert solve_exact([[1], [2]], [1, 3]) is None
     with pytest.raises(DomainError):
         solve_exact([[1, 1]], [1])
-    assert matrix_rank([[1, 0], [2, 0]]) == 1
+    with pytest.raises(DomainError):
+        solve_exact([[1, 0], [2, 0]], [0, 0])
+
+
+def _det(m):
+    """Leibniz determinant of a square matrix."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(m)), 2))
+        total += (-1) ** inversions * math.prod(row[c] for row, c in zip(m, perm))
+    return total
+
+
+def _brute_rank(m):
+    """Rank as the size of the largest nonzero minor."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in combinations(m, k):
+            for cols in combinations(range(len(m[0])), k):
+                if _det([[row[c] for c in cols] for row in rows]) != 0:
+                    return k
+    return 0
+
+
+@st.composite
+def linear_systems(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=n, max_size=n))
+    values = st.builds(Q, st.integers(-5, 5), st.integers(1, 4))
+    if draw(st.booleans()):
+        b = draw(st.lists(values, min_size=n, max_size=n))
+    else:  # consistent by construction
+        x0 = draw(st.lists(values, min_size=m, max_size=m))
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    return A, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_exact_agrees_with_brute_force_ranks(system):
+    A, b = system
+    rank_a = _brute_rank(A)
+    if rank_a < _brute_rank([row + [x] for row, x in zip(A, b)]):
+        assert solve_exact(A, b) is None
+    elif rank_a < len(A[0]):
+        with pytest.raises(DomainError):
+            solve_exact(A, b)
+    else:
+        x = solve_exact(A, b)
+        assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
 
 
 def test_data_canonicalization_and_hashing(pm_b):

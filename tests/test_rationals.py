@@ -4,14 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wbcorr import rationals
+import wbcorr
 from wbcorr.rationals import (
     Rational,
     floor_frac,
     format_rational,
     gen_factorial,
     parse_rational,
-    set_backend,
 )
 
 rational_values = st.builds(
@@ -108,23 +107,9 @@ def test_exactness_no_spurious_denominators():
     assert (96 * (a + b)).denominator == 1
 
 
-@pytest.mark.skipif(len(rationals.available_backends()) < 2, reason="single backend")
-def test_backends_agree():
-    previous = rationals.BACKEND
-    samples = [(-7, 3), (5, 10), (0, 1), (9, 2)]
-    results = {}
-    try:
-        for name in rationals.available_backends():
-            set_backend(name)
-            results[name] = [
-                (
-                    floor_frac(rationals.Rational(p, q)),
-                    gen_factorial(rationals.Rational(p, q), 3),
-                    format_rational(rationals.Rational(p, q)),
-                )
-                for p, q in samples
-            ]
-    finally:
-        set_backend(previous)
-    first, second = results.values()
-    assert first == second
+def test_every_rational_is_a_fraction():
+    q = Fraction(3, 4)
+    assert wbcorr.BACKEND == "fraction"
+    assert type(Rational(1, 2)) is Fraction
+    assert Rational(q) is q
+    assert type(parse_rational("3/4")) is Fraction
