@@ -18,7 +18,7 @@ from . import ranking as rank_ops
 from .errors import DomainError, SchemaError
 from .local_model import LocalModel
 from .pair_model import FormalPairModel, RelativeData, load_data
-from .rationals import Rational, floor_frac, format_rational, gen_factorial, parse_rational
+from .rationals import Rational, _parse_int, floor_frac, format_rational, gen_factorial, parse_rational
 
 # Operation families reachable from each verb (coverage-tested).
 VERB_OPERATIONS = {
@@ -228,11 +228,13 @@ def _cmd_invariant(args):
             localization = "lambdas" in q
             try:
                 if localization:
+                    if not isinstance(q["lambdas"], list):
+                        raise TypeError(f"lambdas must be an array, got {q['lambdas']!r}")
                     lams = [parse_rational(x) for x in q["lambdas"]]
-                    d = int(q["d"])
+                    d = _parse_int(q["d"])
                 else:
-                    c, i, j = int(q["c"]), int(q["i"]), int(q["j"])
-                    d = None if q.get("d") is None else int(q["d"])
+                    c, i, j = _parse_int(q["c"]), _parse_int(q["i"]), _parse_int(q["j"])
+                    d = None if q.get("d") is None else _parse_int(q["d"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"malformed batch query {idx}: {exc}") from exc
             if localization:
@@ -261,37 +263,27 @@ def _cmd_correspond(args):
     if not args.data:
         raise DomainError("correspond needs --data")
     datum = load_data(_load_json(args.data))
+    # only the last column differs: the image components' field of that name
     if isinstance(datum, RelativeData):
         image = corr.psi_forward(model, datum)
         companion = corr.n_minimal_companion(datum)
         doc = {"direction": "forward", "image": image.to_json(), "companion": companion.to_json()}
-        rows = [["component", "genus", "class", "absolute", "s_markings"]]
-        for idx, comp in enumerate(image.components):
-            rows.append(
-                [
-                    str(idx),
-                    str(comp.genus),
-                    ",".join(_rat(c) for c in comp.cls),
-                    ";".join(f"{m.sector}:{m.insertion}:{m.psi}" for m in comp.absolute),
-                    ";".join(f"{m.sector}:{m.j}:{m.psi}" for m in comp.s_markings),
-                ]
-            )
+        last, cell = "s_markings", lambda m: f"{m.sector}:{m.j}:{m.psi}"
     else:
         image = corr.psi_inverse(model, datum)
         doc = {"direction": "inverse", "image": image.to_json()}
-        rows = [["component", "genus", "class", "absolute", "relative"]]
-        for idx, comp in enumerate(image.components):
-            rows.append(
-                [
-                    str(idx),
-                    str(comp.genus),
-                    ",".join(_rat(c) for c in comp.cls),
-                    ";".join(f"{m.sector}:{m.insertion}:{m.psi}" for m in comp.absolute),
-                    ";".join(
-                        f"{m.sector}:{_rat(m.contact)}:{m.j}:{m.ell}" for m in comp.relative
-                    ),
-                ]
-            )
+        last, cell = "relative", lambda m: f"{m.sector}:{_rat(m.contact)}:{m.j}:{m.ell}"
+    rows = [["component", "genus", "class", "absolute", last]]
+    for idx, comp in enumerate(image.components):
+        rows.append(
+            [
+                str(idx),
+                str(comp.genus),
+                ",".join(_rat(c) for c in comp.cls),
+                ";".join(f"{m.sector}:{m.insertion}:{m.psi}" for m in comp.absolute),
+                ";".join(map(cell, getattr(comp, last))),
+            ]
+        )
     _emit(args, doc, ["\t".join(r) for r in rows])
 
 
@@ -326,7 +318,7 @@ def _cmd_assemble(args):
                 raise SchemaError(f"offdiag entry {entry!r} is not a [row, col, value] triple")
             row_in, col_in, value = entry
             try:
-                key = (position[int(row_in)], position[int(col_in)])
+                key = (position[_parse_int(row_in)], position[_parse_int(col_in)])
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(
                     f"offdiag entry {entry!r}: row and col must be input indices"

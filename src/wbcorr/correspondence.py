@@ -49,10 +49,12 @@ target markings to blocks) records the first arrangement of each kind the
 search can use: one with a free block, one of pre-minimal blocks only, and
 one of minimal blocks only.  The pass reads contacts as integers over the
 cell's common denominator; classes, as ``Fraction`` vectors, are written
-only when the chosen arrangements are built into a witness.  A cell record
-depends only on the content of its components, so ``comparison_matrix``
-keeps one memo of records for the searches of its call; nothing is cached
-across calls.
+only when the chosen arrangements are built into a witness, as
+``RPlusComponent``s paired with the host index of each infinity marking.
+A cell record depends only on the content of its components, so each
+search reads and fills a memo of records: one per
+``find_precedence_witness`` call, and one shared by the searches of a
+``comparison_matrix`` call.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -310,41 +312,34 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def _glue_tagged(model, rd_comps, blocks):
-    """Glue with explicit matching: blocks carry (comp_index, marking) tags.
-
-    Each tag consumes one divisor marking of the named host component; the
-    block's infinity slot for it is the dual marking.  Returns the glued
-    RelativeData.
+def _glue_tagged(model, rd_comps, witness, hosts):
+    """Glue the bubble components ``witness`` to the host components
+    ``rd_comps`` with an explicit matching: ``hosts[k]`` lists the host
+    index each infinity marking of ``witness[k]`` consumes.  Returns the
+    glued RelativeData.
     """
-    nodes = [("r", i) for i in range(len(rd_comps))] + [("b", k) for k in range(len(blocks))]
+    nodes = [("r", i) for i in range(len(rd_comps))] + [("b", k) for k in range(len(witness))]
     uf = _UnionFind(nodes)
-    for k, block in enumerate(blocks):
-        for ci, _m in block["tags"]:
+    for k, his in enumerate(hosts):
+        for ci in his:
             uf.union(("r", ci), ("b", k))
     groups: dict = {}
     for node in nodes:
         groups.setdefault(uf.find(node), []).append(node)
     glued = []
     for members in groups.values():
-        n_edges = sum(len(blocks[k]["tags"]) for kind, k in members if kind == "b")
-        b1 = n_edges - len(members) + 1
-        genus = b1
+        n_edges = sum(len(hosts[k]) for kind, k in members if kind == "b")
+        genus = n_edges - len(members) + 1  # first Betti number of the matching graph
         cls = tuple(Rational(0) for _ in range(model.rank))
         absolute = []
         relative = []
         for kind, idx in members:
-            if kind == "r":
-                comp = rd_comps[idx]
-                genus += comp.genus
-                cls = tuple(a + b for a, b in zip(cls, comp.cls))
-                absolute.extend(comp.absolute)
-            else:
-                block = blocks[idx]
-                genus += block["genus"]
-                cls = tuple(a + b for a, b in zip(cls, block["cls"]))
-                absolute.extend(block["absolute"])
-                relative.extend(block["zero"])
+            comp = rd_comps[idx] if kind == "r" else witness[idx]
+            genus += comp.genus
+            cls = tuple(a + b for a, b in zip(cls, comp.cls))
+            absolute.extend(comp.absolute)
+            if kind == "b":
+                relative.extend(comp.zero)
         glued.append(
             ConnectedRelativeData(genus=genus, cls=cls, absolute=tuple(absolute), relative=tuple(relative))
         )
@@ -364,33 +359,25 @@ def glue(model: FormalPairModel, rd: RelativeData, rplus) -> RelativeData:
     rplus = list(rplus)
     for comp in rplus:
         _validate_rplus_component(model, comp)
+    # host indices per dual marking, ascending: markings are visited in
+    # component order, and dual_marking is injective (bar is an involution)
     pool: dict = {}
     for ci, comp in enumerate(rd.components):
         for m in comp.relative:
-            pool.setdefault(model.dual_marking(m), []).append((ci, m))
-    for slots in pool.values():
-        slots.sort()
-    blocks = []
+            pool.setdefault(model.dual_marking(m), []).append(ci)
+    hosts = []
     for comp in rplus:
-        tags = []
+        his = []
         for m in comp.infinity:
             slots = pool.get(m)
             if not slots:
                 raise DomainError(f"unmatched bubble marking {m} (no dual host marking left)")
-            tags.append(slots.pop(0))
-        blocks.append(
-            {
-                "genus": comp.genus,
-                "cls": comp.cls,
-                "absolute": comp.absolute,
-                "zero": comp.zero,
-                "tags": tags,
-            }
-        )
-    leftovers = [m for slots in pool.values() for m in slots]
+            his.append(slots.pop(0))
+        hosts.append(his)
+    leftovers = sum(map(len, pool.values()))
     if leftovers:
-        raise DomainError(f"{len(leftovers)} host divisor marking(s) left unmatched by the bubble datum")
-    return _glue_tagged(model, rd.components, blocks)
+        raise DomainError(f"{leftovers} host divisor marking(s) left unmatched by the bubble datum")
+    return _glue_tagged(model, rd.components, rplus, hosts)
 
 
 # ---------------------------------------------------------------------------
@@ -542,28 +529,26 @@ def _cell_record(model, P, c2comp) -> _CellRecord:
 
 
 def _cell_blocks(model, comps1, p_indices, c2comp, arrangement, free):
-    """Build the bubble blocks of one cell arrangement (dicts with keys
-    tags, zero, genus, absolute, cls; tags name host indices).  With
-    ``free`` the arrangement is a free one of ``_cell_record``, and classes,
-    genera and extra ambient markings are spread over its blocks; otherwise
-    every block is pre-minimal and carries its fiber class."""
+    """Build the bubble components of one cell arrangement.
+
+    Returns ``(components, hosts)``, with ``hosts[k]`` the host indices the
+    infinity markings of ``components[k]`` attach to.  With ``free`` the
+    arrangement is a free one of ``_cell_record``, and classes, genera and
+    extra ambient markings are spread over its blocks; otherwise every block
+    is pre-minimal and carries its fiber class."""
     P = [comps1[i] for i in p_indices]
     tags = [(p_indices[pos], m) for pos, m in _host_tags(P)]
     parts = [[tags[t] for t in part] for part in arrangement.parts]
+    hosts = [[ci for ci, _m in part] for part in parts]
+    infinity = [[model.dual_marking(m) for _ci, m in part] for part in parts]
     block_zeros = [[] for _ in parts]
     for z, k in zip(c2comp.relative, arrangement.assign):
         block_zeros[k].append(z)
     if not free:
         return [
-            {
-                "tags": part,
-                "zero": zeros,
-                "genus": 0,
-                "absolute": [],
-                "cls": tuple(part[0][1].contact * x for x in model.fz_class),
-            }
-            for part, zeros in zip(parts, block_zeros)
-        ]
+            RPlusComponent(0, [part[0][1].contact * x for x in model.fz_class], (), inf, zeros)
+            for part, inf, zeros in zip(parts, infinity, block_zeros)
+        ], hosts
     q = len(parts)
     b1 = len(tags) - (len(P) + q) + 1
     slack_left = c2comp.genus - sum(p.genus for p in P) - b1
@@ -610,15 +595,9 @@ def _cell_blocks(model, comps1, p_indices, c2comp, arrangement, free):
     remainder = [t - sum(col) for t, col in zip(_class_gap(P, c2comp), zip(*classes))]
     classes[sink] = [c + r for c, r in zip(classes[sink], remainder)]
     return [
-        {
-            "tags": parts[k],
-            "zero": block_zeros[k],
-            "genus": genus_extra[k],
-            "absolute": abs_assign[k],
-            "cls": tuple(classes[k]),
-        }
+        RPlusComponent(genus_extra[k], classes[k], abs_assign[k], infinity[k], block_zeros[k])
         for k in range(q)
-    ]
+    ], hosts
 
 
 def find_precedence_witness(
@@ -638,16 +617,16 @@ def find_precedence_witness(
     """
     model.validate_relative_data(rd1)
     model.validate_relative_data(rd2)
-    return _search(model, rd1, rd2, max_components)
+    return _search(model, rd1, rd2, max_components, ({}, rd1.components, rd2.components))
 
 
-def _search(model, rd1, rd2, max_components, memo=None):
+def _search(model, rd1, rd2, max_components, memo):
     """The witness search of ``find_precedence_witness`` on validated data.
 
-    ``memo``, when given, is ``(records, keys1, keys2)``: a dict of cell
-    records shared by the searches of one request, and the components of
-    ``rd1`` and ``rd2`` interned to small ints by content (see
-    ``comparison_matrix``).
+    ``memo`` is ``(cells, keys1, keys2)``: a dict of cell records, and one
+    hashable key per component of ``rd1`` and ``rd2``, equal exactly when
+    the components are equal.  A record depends only on the content of its
+    cell, so one dict may serve several searches (see ``comparison_matrix``).
     """
     comps1, comps2 = rd1.components, rd2.components
     bound = len(rd1.relative_markings()) + len(comps2)
@@ -664,20 +643,17 @@ def _search(model, rd1, rd2, max_components, memo=None):
     if comps1 and not comps2:
         return None
 
+    cells, keys1, keys2 = memo
     for f in product(range(len(comps2)), repeat=len(comps1)):
         preimages = [[] for _ in comps2]
         for i, target in enumerate(f):
             preimages[target].append(i)
         records = []
-        for c2_idx, (hosts, comp2) in enumerate(zip(preimages, comps2)):
-            if memo is None:
-                rec = _cell_record(model, tuple(comps1[i] for i in hosts), comp2)
-            else:
-                cells, keys1, keys2 = memo
-                key = (tuple(keys1[i] for i in hosts), keys2[c2_idx])
-                rec = cells.get(key)
-                if rec is None:
-                    rec = cells[key] = _cell_record(model, tuple(comps1[i] for i in hosts), comp2)
+        for hosts, comp2, key2 in zip(preimages, comps2, keys2):
+            key = (tuple(keys1[i] for i in hosts), key2)
+            rec = cells.get(key)
+            if rec is None:
+                rec = cells[key] = _cell_record(model, tuple(comps1[i] for i in hosts), comp2)
             if rec.with_b is None and rec.pre_minimal is None:
                 break
             records.append(rec)
@@ -688,24 +664,16 @@ def _search(model, rd1, rd2, max_components, memo=None):
             continue
         # construct: if a free block exists anywhere, prefer free arrangements
         # (condition (P2) is then vacuous); otherwise build the all-minimal witness
-        witness_blocks = []
+        witness, witness_hosts = [], []
         for hosts, comp2, rec in zip(preimages, comps2, records):
             free = any_b and rec.with_b is not None
             arrangement = rec.with_b if free else rec.pre_minimal if any_b else rec.minimal
-            witness_blocks += _cell_blocks(model, comps1, hosts, comp2, arrangement, free)
-        glued = _glue_tagged(model, comps1, witness_blocks)
+            blocks, block_hosts = _cell_blocks(model, comps1, hosts, comp2, arrangement, free)
+            witness += blocks
+            witness_hosts += block_hosts
+        glued = _glue_tagged(model, comps1, witness, witness_hosts)
         if glued != rd2:
             raise AssertionError("constructed witness does not reproduce the target datum")
-        witness = [
-            RPlusComponent(
-                genus=b["genus"],
-                cls=b["cls"],
-                absolute=tuple(b["absolute"]),
-                infinity=tuple(model.dual_marking(m) for _ci, m in b["tags"]),
-                zero=tuple(b["zero"]),
-            )
-            for b in witness_blocks
-        ]
         for comp in witness:
             _validate_rplus_component(model, comp)
         return witness

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ImproperPairError, LabelError
 from .local_model import LocalModel
-from .ranking import c_bounds, c_to_Rd, require_fiber_label, sector_dim, tau_numerators
+from .ranking import c_bounds, c_to_Rd, require_fiber_label, tau_numerators
 from .rationals import Rational, gen_factorial_ints
 
 __all__ = [
@@ -46,11 +46,11 @@ class ProperInsertionPair:
     d: int | None = None
 
 
-def _check_d(model: LocalModel, R, d: int) -> int:
-    ds = sector_dim(model, R)
+def _check_d(pre, R, d: int):
+    """Check the H-power ``d`` against the preimage list ``pre`` of ``R``."""
+    ds = len(pre) - 1
     if not 0 <= d <= ds:
         raise LabelError(f"H-power {d} outside [0, {ds}] for label {R}")
-    return ds
 
 
 def h_invariant(model: LocalModel, R, d: int):
@@ -61,9 +61,9 @@ def h_invariant(model: LocalModel, R, d: int):
     ``c_max_u = (beta_u + m_u r) / r``, numerator and denominator are
     accumulated as integers and reduced once.
     """
-    require_fiber_label(model, R)
+    pre = require_fiber_label(model, R)
     R = Rational(R)
-    _check_d(model, R, d)
+    _check_d(pre, R, d)
     r = model.r
     taus, tau_den = tau_numerators(model, R)
     num, den = R.numerator**d, r * R.denominator**d
@@ -89,7 +89,7 @@ def h_prime_oracle(model: LocalModel, R, d: int):
     """
     pre = require_fiber_label(model, R)
     R = Rational(R)
-    _check_d(model, R, d)
+    _check_d(pre, R, d)
     if d == 0:
         return Rational(1, model.r)
     js = [j for j, _ in pre]

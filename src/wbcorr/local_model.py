@@ -24,7 +24,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import SchemaError, SectorError
-from .rationals import Rational, floor_frac, frac
+from .rationals import Rational, _parse_int, floor_frac, frac
 
 __all__ = ["LabelLadder", "LocalModel", "SectorIndex"]
 
@@ -139,9 +139,11 @@ class LocalModel:
         if extra:
             raise SchemaError(f"unknown local-model keys: {sorted(extra)}")
         try:
-            r = int(doc["r"])
-            beta = tuple(int(b) for b in doc["beta"])
-            alpha = tuple(int(a) for a in doc["alpha"])
+            r = _parse_int(doc["r"])
+            if not (isinstance(doc["beta"], list) and isinstance(doc["alpha"], list)):
+                raise TypeError("beta and alpha must be arrays")
+            beta = tuple(map(_parse_int, doc["beta"]))
+            alpha = tuple(map(_parse_int, doc["alpha"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed local model: {exc}") from exc
         return cls(r=r, beta=beta, alpha=alpha)

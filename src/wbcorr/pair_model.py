@@ -35,7 +35,7 @@ from functools import cached_property
 from .errors import DomainError, SchemaError
 from .local_model import LocalModel
 from .ranking import lambda_preimages, require_fiber_label, window
-from .rationals import Rational, format_rational, frac, parse_rational
+from .rationals import Rational, _parse_int, format_rational, frac, parse_rational
 
 __all__ = [
     "AbsoluteMarking",
@@ -331,6 +331,23 @@ def _list_field(obj, name):
     return v
 
 
+def _object_list(obj, name):
+    items = _list_field(obj, name)
+    if not all(isinstance(x, dict) for x in items):
+        raise SchemaError(f"entries of {name!r} must be objects")
+    return items
+
+
+def _int_vector(values, name):
+    """A lattice vector: integers or integer strings, as rationals."""
+    if not isinstance(values, list):
+        raise SchemaError(f"lattice {name} must be a list, got {values!r}")
+    try:
+        return tuple(Rational(_parse_int(x)) for x in values)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"lattice {name}: {exc}") from exc
+
+
 def _class_field(obj):
     try:
         return tuple(parse_rational(x) for x in _list_field(obj, "class"))
@@ -440,7 +457,7 @@ class FormalPairModel:
         if extra:
             raise SchemaError(f"unknown pair-model keys: {sorted(extra)}")
         s_sectors = []
-        for entry in _list_field(doc, "s_sectors"):
+        for entry in _object_list(doc, "s_sectors"):
             basis = tuple(
                 (_str_field(b, "name"), _int_field(b, "deg"))
                 for b in _list_field(entry, "basis")
@@ -449,7 +466,7 @@ class FormalPairModel:
                 SSector(name=_str_field(entry, "name"), bar=_str_field(entry, "bar"), basis=basis)
             )
         z_sectors = []
-        for entry in _list_field(doc, "z_sectors"):
+        for entry in _object_list(doc, "z_sectors"):
             try:
                 phase = parse_rational(entry.get("phase", ""))
             except ValueError as exc:
@@ -478,11 +495,11 @@ class FormalPairModel:
             z_sectors=tuple(z_sectors),
             k_classes=k_classes,
             rank=rank,
-            f_class=tuple(Rational(int(x)) for x in _list_field(lattice, "F")),
-            fz_class=tuple(Rational(int(x)) for x in _list_field(lattice, "FZ")),
-            z_pairing=tuple(Rational(int(x)) for x in _list_field(lattice, "Z_pairing")),
+            f_class=_int_vector(lattice.get("F", []), "F"),
+            fz_class=_int_vector(lattice.get("FZ", []), "FZ"),
+            z_pairing=_int_vector(lattice.get("Z_pairing", []), "Z_pairing"),
             kappa_push=tuple(
-                tuple(Rational(int(x)) for x in row) for row in _list_field(lattice, "kappa_push")
+                _int_vector(row, "kappa_push") for row in _list_field(lattice, "kappa_push")
             ),
         )
 

@@ -50,6 +50,17 @@ def parse_rational(text: str):
     return Rational(int(s))
 
 
+def _parse_int(value) -> int:
+    """``int(value)`` for a JSON integer or an integer string.
+
+    Package-internal, for the JSON readers.  Raises TypeError for any other
+    value, floats and bools included, which ``int`` would truncate or take.
+    """
+    if type(value) is int or isinstance(value, str):
+        return int(value)
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
 def format_rational(q) -> str:
     """Serialize a rational as ``p/q``, omitting the denominator when 1."""
     q = Rational(q)

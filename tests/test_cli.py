@@ -305,7 +305,7 @@ def test_order_searches_each_pair_once(capsys, tmp_path, pair_model_path, monkey
     searches, validations = [], []
     search, validate = corr._search, FormalPairModel.validate_relative_data
 
-    def counted_search(model, rd1, rd2, max_components, memo=None):
+    def counted_search(model, rd1, rd2, max_components, memo):
         searches.append((id(rd1), id(rd2)))  # the four loaded data stay alive
         return search(model, rd1, rd2, max_components, memo)
 
@@ -345,7 +345,7 @@ def test_order_enumerates_each_cell_once_per_request(
     for a in data:
         for b in data:
             if a != b:
-                precedes(model, a, b)  # no memo: cells are enumerated per search
+                precedes(model, a, b)  # each search has its own memo
     pairwise = list(cells)
     assert len(pairwise) > len(set(pairwise))
 
@@ -473,3 +473,35 @@ def test_exit_codes(capsys, model_path, tmp_path, pair_model_path):
         vpath.write_text(json.dumps(vector))
         code, out, err = run(capsys, "solve", "--matrix", str(mpath), "--vector", str(vpath))
         assert code == 2 and not out and err.startswith("SchemaError") and err.count("\n") == 1
+    # a float or bool where an integer is expected, or lambdas that are not an
+    # array, is malformed input: int() would truncate or take it silently
+    argvs = []
+    for i, doc in enumerate(
+        [{"r": 2.0, "beta": [1, 2], "alpha": [1, 1]}, {"r": 2, "beta": [1.9, 2], "alpha": [1, 1]},
+         {"r": 2, "beta": [1, 2], "alpha": [1, True]}]
+    ):
+        path = tmp_path / f"m{i}.json"
+        path.write_text(json.dumps(doc))
+        argvs.append(["sectors", "--model", str(path)])
+    for i, row in enumerate(
+        [{"c": 1.7, "i": 1, "j": 1}, {"c": 0, "i": True, "j": 1}, {"c": 0, "i": 1, "j": 1, "d": 0.0},
+         {"lambdas": "123", "d": 2}, {"lambdas": ["1", "2"], "d": 1.0}]
+    ):
+        path = tmp_path / f"q{i}.json"
+        path.write_text(json.dumps([row]))
+        argvs.append(["invariant", "--model", model_path, "--data", str(path)])
+    data_path.write_text(json.dumps(_chain_docs()))
+    for i, entries in enumerate([[[1.9, 2, "5/7"]], [[1, 2.0, "5/7"]]]):
+        path = tmp_path / f"od{i}.json"
+        path.write_text(json.dumps(entries))
+        argvs.append(["assemble", "--pair-model", pair_model_path, "--data", str(data_path),
+                      "--offdiag", str(path)])
+    for i, lattice in enumerate([{"Z_pairing": [0, 1.5]}, {"F": [0, True]}]):
+        doc = json.loads(json.dumps(PAIR_MODEL_B))
+        doc["lattice"].update(lattice)
+        path = tmp_path / f"pm{i}.json"
+        path.write_text(json.dumps(doc))
+        argvs.append(["order", "--pair-model", str(path), "--data", str(data_path)])
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and err.startswith("SchemaError") and err.count("\n") == 1, argv

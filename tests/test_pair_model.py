@@ -60,6 +60,11 @@ def test_model_lookup_helpers(pm_b):
         lambda d: d["lattice"].update(rank=3),
         lambda d: d.update(k_classes=["one_X", "one_X"]),
         lambda d: d["lattice"].update(kappa_push=[[0, 0]]),  # rank 1 < 2 with Z_pairing
+        lambda d: d["z_sectors"].append(5),
+        lambda d: d["s_sectors"].append("t2"),
+        lambda d: d["lattice"].update(F=[0, None]),
+        lambda d: d["lattice"].update(kappa_push=[7]),
+        lambda d: d["lattice"].update(kappa_push=["10"]),  # not read as [1, 0]
     ],
 )
 def test_model_validation_rejects(mutate):
