@@ -12,7 +12,7 @@ The pieces, all exact and deterministic:
 * ``precedes``: the degeneration partial order, decided by a bounded
   complete search over bubble witnesses.
 * ``comparison_matrix``: the strict order on a list of data, each datum
-  validated once and each ordered pair searched once.
+  validated once and each ordered pair searched at most once.
 * ``linear_extension`` / ``assemble_L`` / ``solve_lower_triangular``: the
   poset-indexed lower-triangular transfer matrix and its exact solve.
 
@@ -41,6 +41,18 @@ Three standing constraints make the search sound:
 
 The witness search
 ------------------
+Before any search, each datum gets a signature: its number of divisor
+markings, total genus, multiset of ambient markings, whether it is empty,
+and total contact.  Gluing never lowers total genus, never removes an
+ambient marking and never empties a datum.  Nor does it lower total
+contact: each host divisor marking meets exactly one infinity marking of
+equal contact, each target divisor marking is the zero marking of exactly
+one block, so the change in total contact is the sum of the blocks'
+fluxes, and effectivity makes each flux nonnegative.  A pair whose
+signatures break one of these rules has no witness and is never searched;
+the cap on bubble components is checked before that, so SearchLimitError
+does not depend on it.
+
 A search tries each map from host components to target components.  A map
 splits the problem into cells: the hosts sent to one target component,
 glued into it by bubble blocks.  One pass over a cell's arrangements
@@ -51,10 +63,15 @@ one of minimal blocks only.  The pass reads contacts as integers over the
 cell's common denominator; classes, as ``Fraction`` vectors, are written
 only when the chosen arrangements are built into a witness, as
 ``RPlusComponent``s paired with the host index of each infinity marking.
-A cell record depends only on the content of its components, so each
-search reads and fills a memo of records: one per
-``find_precedence_witness`` call, and one shared by the searches of a
-``comparison_matrix`` call.  Nothing is cached across calls.
+Every witness is glued and checked against the target.
+
+A cell record, like the validity of a bubble component, depends only on
+content, so each search reads and fills a memo of cell records and of
+bubble components already validated: one per ``find_precedence_witness``
+call, and one shared by the searches of a ``comparison_matrix`` call.
+Neither outlives its call.  The divisor markings that passed validation
+are kept longer, in a set on their ``FormalPairModel``, so a marking is
+checked once per model; one that fails is never recorded.
 """
 
 from __future__ import annotations
@@ -617,33 +634,69 @@ def find_precedence_witness(
     """
     model.validate_relative_data(rd1)
     model.validate_relative_data(rd2)
-    return _search(model, rd1, rd2, max_components, ({}, rd1.components, rd2.components))
+    sig1 = _signature(rd1)
+    _check_cap(sig1, rd2, max_components)
+    if _rules_out(sig1, _signature(rd2)):
+        return None
+    return _search(model, rd1, rd2, ({}, rd1.components, rd2.components, set()))
 
 
-def _search(model, rd1, rd2, max_components, memo):
-    """The witness search of ``find_precedence_witness`` on validated data.
+class _Signature(NamedTuple):
+    """What the early exits of the order read from one datum."""
 
-    ``memo`` is ``(cells, keys1, keys2)``: a dict of cell records, and one
-    hashable key per component of ``rd1`` and ``rd2``, equal exactly when
-    the components are equal.  A record depends only on the content of its
-    cell, so one dict may serve several searches (see ``comparison_matrix``).
-    """
-    comps1, comps2 = rd1.components, rd2.components
-    bound = len(rd1.relative_markings()) + len(comps2)
+    markings: int  # divisor markings
+    genus: int  # total genus
+    ambient: Counter  # ambient markings
+    nonempty: bool
+    contact: Rational  # total contact
+
+
+def _signature(rd: RelativeData) -> _Signature:
+    comps = rd.components
+    return _Signature(
+        sum(len(c.relative) for c in comps),
+        sum(c.genus for c in comps),
+        Counter(m for c in comps for m in c.absolute),
+        bool(comps),
+        sum((c.contact_sum() for c in comps), Rational(0)),
+    )
+
+
+def _check_cap(sig1: _Signature, rd2: RelativeData, max_components: int):
+    """Raise SearchLimitError when comparing into ``rd2`` could need more
+    bubble components than ``max_components``."""
+    bound = sig1.markings + len(rd2.components)
     if bound > max_components:
         raise SearchLimitError(
             f"comparison would need up to {bound} bubble components (cap {max_components})"
         )
-    if sum(c.genus for c in comps1) > sum(c.genus for c in comps2):
-        return None
-    if Counter(m for c in comps1 for m in c.absolute) - Counter(
-        m for c in comps2 for m in c.absolute
-    ):
-        return None
-    if comps1 and not comps2:
-        return None
 
-    cells, keys1, keys2 = memo
+
+def _rules_out(sig1: _Signature, sig2: _Signature) -> bool:
+    """Whether the signatures alone show that no witness glues the first
+    datum into the second: gluing never lowers total genus or total
+    contact, never removes an ambient marking, and never empties a datum."""
+    return (
+        sig1.genus > sig2.genus
+        or bool(sig1.ambient - sig2.ambient)
+        or (sig1.nonempty and not sig2.nonempty)
+        or sig1.contact > sig2.contact
+    )
+
+
+def _search(model, rd1, rd2, memo):
+    """The witness search of ``find_precedence_witness`` on validated data,
+    for a pair within the cap that the signatures do not rule out.
+
+    ``memo`` is ``(cells, keys1, keys2, checked)``: a dict of cell records,
+    one hashable key per component of ``rd1`` and ``rd2``, equal exactly
+    when the components are equal, and the set of bubble components already
+    validated.  A record, like a component's validity, depends only on
+    content, so one memo may serve several searches (see
+    ``comparison_matrix``).
+    """
+    comps1, comps2 = rd1.components, rd2.components
+    cells, keys1, keys2, checked = memo
     for f in product(range(len(comps2)), repeat=len(comps1)):
         preimages = [[] for _ in comps2]
         for i, target in enumerate(f):
@@ -675,7 +728,9 @@ def _search(model, rd1, rd2, max_components, memo):
         if glued != rd2:
             raise AssertionError("constructed witness does not reproduce the target datum")
         for comp in witness:
-            _validate_rplus_component(model, comp)
+            if comp not in checked:
+                _validate_rplus_component(model, comp)
+                checked.add(comp)
         return witness
     return None
 
@@ -703,25 +758,32 @@ def comparison_matrix(
     """The strict order on ``data`` as an n x n matrix: ``[i][j]`` is True
     when ``data[i]`` precedes ``data[j]`` and the two differ.
 
-    Validates each datum once, in input order, then searches each ordered
-    pair of distinct data once, row by row; so an invalid datum raises
-    before any search, and a pair over the cap raises SearchLimitError.
-    The searches share one memo of cell records, which lives as long as
-    this call; components are interned by content once, up front.
+    Validates each datum once, in input order, then takes each ordered
+    pair of distinct data once, row by row: a pair over the cap raises
+    SearchLimitError, and a pair the signatures do not rule out is searched.
+    So an invalid datum raises before any search.  The searches share one
+    memo of cell records and validated bubble components, which lives as
+    long as this call; components are interned by content once, up front.
     """
     items = list(data)
     for rd in items:
         model.validate_relative_data(rd)
+    sigs = [_signature(rd) for rd in items]
     ids: dict = {}
     keys = [tuple(ids.setdefault(c, len(ids)) for c in rd.components) for rd in items]
     cells: dict = {}
-    return [
-        [
-            a != b and _search(model, a, b, max_components, (cells, ka, kb)) is not None
-            for b, kb in zip(items, keys)
-        ]
-        for a, ka in zip(items, keys)
-    ]
+    checked: set = set()
+
+    def strictly_precedes(a, sa, ka, b, sb, kb):
+        if a == b:
+            return False
+        _check_cap(sa, b, max_components)
+        if _rules_out(sa, sb):
+            return False
+        return _search(model, a, b, (cells, ka, kb, checked)) is not None
+
+    rows = list(zip(items, sigs, keys))
+    return [[strictly_precedes(*row, *col) for col in rows] for row in rows]
 
 
 def order_from_matrix(items, strict) -> list[int]:

@@ -447,6 +447,9 @@ class FormalPairModel:
         # ell_max per divisor sector, filled on first use: a sector is read
         # only once _validate has checked its phase
         object.__setattr__(self, "_ell_max", {})
+        # divisor markings that passed validate_relative_marking; a marking
+        # that fails is never recorded, so it raises on every call
+        object.__setattr__(self, "_valid_markings", set())
         self._validate()
 
     @classmethod
@@ -685,6 +688,8 @@ class FormalPairModel:
     # -- data validation -------------------------------------------------------
 
     def validate_relative_marking(self, m: RelativeMarking):
+        if m in self._valid_markings:
+            return
         z = self.z_sector(m.sector)
         if frac(m.contact) != z.phase:
             raise DomainError(
@@ -695,6 +700,7 @@ class FormalPairModel:
             raise DomainError(f"basis index {m.j} outside the basis of {z.pi!r}")
         if not 0 <= m.ell <= self.ell_max(m.sector):
             raise DomainError(f"H-power {m.ell} outside [0, {self.ell_max(m.sector)}] on {m.sector!r}")
+        self._valid_markings.add(m)
 
     def validate_relative_data(self, rd: RelativeData):
         for comp in rd.components:

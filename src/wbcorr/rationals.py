@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 #: Name of the rational type, recorded in benchmark metadata.
@@ -62,11 +63,20 @@ def _parse_int(value) -> int:
 
 
 def format_rational(q) -> str:
-    """Serialize a rational as ``p/q``, omitting the denominator when 1."""
+    """Serialize a rational as ``p/q``, omitting the denominator when 1.
+
+    Exact at any size: an integer past the interpreter's int-to-str digit
+    limit (``sys.get_int_max_str_digits``, left as the caller set it) is
+    written through ``Decimal``, which converts exactly and has no limit.
+    """
     q = Rational(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def is_integral(q) -> bool:

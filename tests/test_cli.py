@@ -1,4 +1,8 @@
 import json
+import sys
+from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +10,9 @@ from wbcorr import (
     FormalPairModel,
     LocalModel,
     RelativeData,
+    SearchLimitError,
     enumerate_relative_data,
+    find_precedence_witness,
     precedes,
 )
 from wbcorr import correspondence as corr
@@ -89,6 +95,26 @@ def test_invariant_single_value(capsys, model_path):
     )
     assert code == 0
     assert out == "2\n"
+
+
+def test_invariant_past_the_int_str_digit_limit(capsys, model_path):
+    # c_max_factorial and value have over 4300 digits, CPython's default
+    # int-to-str limit; the output is exact and the limit is left alone
+    limit = sys.get_int_max_str_digits()
+    args = ("invariant", "--model", model_path, "--c", "2000", "--i", "1", "--j", "1")
+    code, out, err = run(capsys, *args, "--format", "json")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    doc = json.loads(out)
+
+    def exact(text):  # Decimal parses past the limit too
+        num, _, den = text.partition("/")
+        return Fraction(Decimal(num)) / Fraction(Decimal(den or "1"))
+
+    assert len(doc["c_max_factorial"]) > 4300
+    assert M2_DOC["r"] * exact(doc["h"]) * exact(doc["c_max_factorial"]) == exact(doc["R"]) ** doc["d"]
+    code, tsv, _ = run(capsys, *args)
+    assert code == 0 and tsv == doc["value"] + "\n"
 
 
 def test_invariant_json_detail(capsys, model_path):
@@ -297,6 +323,27 @@ def test_order_reports_the_comparison_matrix(capsys, tmp_path, doc):
     }
 
 
+def _unruled_pairs(docs):
+    """Ordered index pairs of distinct data in ``docs`` that the datum
+    signature does not rule out, read off the documents: along the order,
+    total genus, ambient markings and total contact never decrease."""
+
+    def signature(doc):
+        comps = doc["components"]
+        genus = sum(c["genus"] for c in comps)
+        ambient = Counter(json.dumps(m, sort_keys=True) for c in comps for m in c["absolute"])
+        contact = sum(Fraction(m["contact"]) for c in comps for m in c["relative"])
+        return genus, ambient, contact
+
+    sigs = [signature(doc) for doc in docs]
+    return {
+        (i, j)
+        for i, (g1, a1, c1) in enumerate(sigs)
+        for j, (g2, a2, c2) in enumerate(sigs)
+        if docs[i] != docs[j] and g1 <= g2 and not a1 - a2 and c1 <= c2
+    }
+
+
 def test_order_searches_each_pair_once(capsys, tmp_path, pair_model_path, monkeypatch):
     docs = _chain_docs()
     docs.append(docs[1])  # equal data are never compared
@@ -305,9 +352,9 @@ def test_order_searches_each_pair_once(capsys, tmp_path, pair_model_path, monkey
     searches, validations = [], []
     search, validate = corr._search, FormalPairModel.validate_relative_data
 
-    def counted_search(model, rd1, rd2, max_components, memo):
+    def counted_search(model, rd1, rd2, memo):
         searches.append((id(rd1), id(rd2)))  # the four loaded data stay alive
-        return search(model, rd1, rd2, max_components, memo)
+        return search(model, rd1, rd2, memo)
 
     def counted_validate(model, rd):
         validations.append(rd)
@@ -317,8 +364,14 @@ def test_order_searches_each_pair_once(capsys, tmp_path, pair_model_path, monkey
     monkeypatch.setattr(FormalPairModel, "validate_relative_data", counted_validate)
     code, out, _ = run(capsys, "order", "--pair-model", pair_model_path, "--data", str(data_path))
     assert code == 0 and out.startswith("position")
-    assert len(searches) == len(set(searches)) == 4 * 3 - 2
     assert len(validations) == 4
+    # data are validated once each, in input order
+    position = {id(rd): i for i, rd in enumerate(validations)}
+    searched = [(position[a], position[b]) for a, b in searches]
+    assert len(searched) == len(set(searched))
+    # of the 4 * 3 - 2 ordered pairs of distinct data, the 5 whose total
+    # contact decreases are never searched
+    assert set(searched) == _unruled_pairs(docs) and len(searched) == 5
 
     code, _, err = run(
         capsys, "order", "--pair-model", pair_model_path, "--data", str(data_path),
@@ -330,8 +383,9 @@ def test_order_searches_each_pair_once(capsys, tmp_path, pair_model_path, monkey
 def test_order_enumerates_each_cell_once_per_request(
     capsys, tmp_path, pair_model_path, monkeypatch
 ):
+    docs = _chain_docs()
     data_path = tmp_path / "data.json"
-    data_path.write_text(json.dumps(_chain_docs()))
+    data_path.write_text(json.dumps(docs))
     cells = []
     record = corr._cell_record
 
@@ -341,11 +395,9 @@ def test_order_enumerates_each_cell_once_per_request(
 
     monkeypatch.setattr(corr, "_cell_record", counted_record)
     model = FormalPairModel.from_json(PAIR_MODEL_B)
-    data = [RelativeData.from_json(doc) for doc in _chain_docs()]
-    for a in data:
-        for b in data:
-            if a != b:
-                precedes(model, a, b)  # each search has its own memo
+    data = [RelativeData.from_json(doc) for doc in docs]
+    for i, j in sorted(_unruled_pairs(docs)):
+        precedes(model, data[i], data[j])  # each search has its own memo
     pairwise = list(cells)
     assert len(pairwise) > len(set(pairwise))
 
@@ -358,6 +410,29 @@ def test_order_enumerates_each_cell_once_per_request(
         per_request.append(list(cells))
     # the memo lives as long as one request: the second one starts afresh
     assert per_request[0] == per_request[1]
+
+
+def test_cap_is_checked_before_the_signature(capsys, tmp_path, pair_model_path):
+    # two markings of total contact 2 in one component, and the bare base
+    # component: the pair into the base is ruled out by contact, but could
+    # need 2 + 1 bubble components; the reverse pair needs at most 0 + 1
+    marking = {"sector": "sb", "contact": "1", "j": 1, "ell": 0}
+    heavy = {"genus": 0, "class": ["1", "2"], "absolute": [], "relative": [marking, marking]}
+    rd_heavy, rd_base = {"kind": "relative", "components": [heavy]}, _chain_docs()[2]
+    model = FormalPairModel.from_json(PAIR_MODEL_B)
+    a, b = RelativeData.from_json(rd_heavy), RelativeData.from_json(rd_base)
+    with pytest.raises(SearchLimitError):
+        find_precedence_witness(model, a, b, max_components=2)
+    assert find_precedence_witness(model, b, a, max_components=2) is None
+    assert find_precedence_witness(model, a, b) is None
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps([rd_heavy, rd_base]))
+    code, _, err = run(
+        capsys, "order", "--pair-model", pair_model_path, "--data", str(data_path),
+        "--max-components", "2",
+    )
+    assert code == 1 and err.startswith("SearchLimitError") and err.count("\n") == 1
+    assert "up to 3 bubble components (cap 2)" in err
 
 
 def test_solve(capsys, tmp_path):

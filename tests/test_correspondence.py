@@ -24,6 +24,7 @@ from wbcorr import (
     psi_inverse,
     solve_lower_triangular,
 )
+from wbcorr import correspondence as corr
 from wbcorr.correspondence import RPlusComponent, is_minimal, is_pre_minimal
 from wbcorr.errors import SearchLimitError
 from wbcorr.pair_model import (
@@ -374,6 +375,34 @@ def test_comparison_matrix_on_subsets(name, draw):
     picks = draw.draw(st.lists(st.integers(0, len(data) - 1), max_size=8))
     subset = [data[i] for i in picks]  # repeats allowed: equal data never compare
     assert comparison_matrix(model, subset) == [[pairwise[i][j] for j in picks] for i in picks]
+
+
+def test_comparison_matrix_validates_each_bubble_once_per_call(monkeypatch):
+    model, data, _ = comparison_pool("b")
+    witnesses = [
+        comp
+        for a in data
+        for b in data
+        if a != b
+        for comp in find_precedence_witness(model, a, b) or ()
+    ]
+    assert len(witnesses) > len(set(witnesses))  # components repeat across pairs
+    validated = []
+    validate = corr._validate_rplus_component
+
+    def counted(model, comp):
+        validated.append(comp)
+        return validate(model, comp)
+
+    monkeypatch.setattr(corr, "_validate_rplus_component", counted)
+    per_call = []
+    for _ in range(2):
+        validated.clear()
+        comparison_matrix(model, data)
+        assert len(validated) == len(set(validated)) and set(validated) == set(witnesses)
+        per_call.append(list(validated))
+    # the set of validated components lives as long as one call
+    assert per_call[0] == per_call[1]
 
 
 # -- linear extension and the matrix -------------------------------------------

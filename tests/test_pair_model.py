@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbcorr import DomainError, FormalPairModel, SchemaError, enumerate_relative_data
+from wbcorr import pair_model
 from wbcorr.pair_model import (
     AbsoluteMarking,
     ConnectedRelativeData,
@@ -91,6 +92,35 @@ def test_unit_pairing_is_memoised_per_model(pm_b, pm_codim1):
         assert model.zp(unit) == 1
         assert tuple(u * norm for u in unit) == model.z_pairing  # along the pairing
         assert model.unit_pairing is unit
+
+
+def test_marking_validation_is_memoised_per_model(monkeypatch):
+    labels = []
+    require = pair_model.require_fiber_label
+
+    def counted(local_model, contact):
+        labels.append(contact)
+        return require(local_model, contact)
+
+    monkeypatch.setattr(pair_model, "require_fiber_label", counted)
+    good = RelativeMarking("sb", Q(1), 1, 0)
+    bad = [
+        RelativeMarking("sa", Q(-1, 2), 1, 0),  # fails the label check
+        RelativeMarking("sa", Q(1, 2), 3, 0),  # fails after it: basis index
+        RelativeMarking("sa", Q(1, 2), 1, 9),  # fails after it: H-power
+    ]
+    models = [FormalPairModel.from_json(PAIR_MODEL_B) for _ in range(2)]
+    for model in models:
+        for _ in range(3):
+            model.validate_relative_marking(good)
+            for m in bad:
+                with pytest.raises(DomainError):
+                    model.validate_relative_marking(m)
+    # a valid marking reaches the label check once per model, and an
+    # invalid one is checked, and raises, on every call
+    assert labels.count(Q(1)) == len(models)
+    assert labels.count(Q(-1, 2)) == 3 * len(models)
+    assert labels.count(Q(1, 2)) == 2 * 3 * len(models)
 
 
 def test_solve_exact_inconsistent_and_underdetermined():

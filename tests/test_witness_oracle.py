@@ -42,7 +42,13 @@ from wbcorr import (
     glue,
     precedes,
 )
-from wbcorr.correspondence import RPlusComponent, is_minimal, is_pre_minimal
+from wbcorr.correspondence import (
+    RPlusComponent,
+    _rules_out,
+    _signature,
+    is_minimal,
+    is_pre_minimal,
+)
 from wbcorr.pair_model import ConnectedRelativeData, RelativeData, RelativeMarking
 from wbcorr.rationals import Rational as Q
 
@@ -285,3 +291,21 @@ def test_search_witnesses_glue_into_the_target(name):
             if oracle[i][j]:
                 witness = find_precedence_witness(model, a, b)
                 assert glue(model, a, witness) == b, (i, j)
+
+
+@pytest.mark.parametrize("name", ["b", "c"])
+def test_signature_rules_out_no_oracle_pair(name):
+    """The prefilter is sound: the oracle finds no witness for any pair it
+    rules out.  The pool has pairs that total contact alone rules out."""
+    _, data, oracle = oracle_pool(name)
+    sigs = [_signature(rd) for rd in data]
+    by_contact = 0
+    for i in range(len(data)):
+        for j in range(len(data)):
+            if oracle[i][j]:
+                assert not _rules_out(sigs[i], sigs[j]), (i, j)
+            elif sigs[i].contact > sigs[j].contact and not _rules_out(
+                sigs[i], sigs[j]._replace(contact=sigs[i].contact)
+            ):
+                by_contact += 1  # ruled out by total contact alone
+    assert by_contact > len(data)
