@@ -240,7 +240,7 @@ def _cmd_invariant(args):
             if localization:
                 value = inv.localization_sum(lams, d)
                 entry = {"kind": "localization", "d": d, "value": _rat(value)}
-                detail = f"m={len(lams)},d={q['d']}"
+                detail = f"m={len(lams)},d={d}"
             else:
                 qmodel = LocalModel.from_json(q["model"]) if "model" in q else model
                 if qmodel is None:

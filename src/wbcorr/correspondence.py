@@ -67,11 +67,14 @@ Every witness is glued and checked against the target.
 
 A cell record, like the validity of a bubble component, depends only on
 content, so each search reads and fills a memo of cell records and of
-bubble components already validated: one per ``find_precedence_witness``
-call, and one shared by the searches of a ``comparison_matrix`` call.
-Neither outlives its call.  The divisor markings that passed validation
-are kept longer, in a set on their ``FormalPairModel``, so a marking is
-checked once per model; one that fails is never recorded.
+bubble components already validated.  Every search runs through a
+comparer over data already validated, and the comparer holds one memo:
+one per ``find_precedence_witness`` or ``comparison_matrix`` call, which
+does not outlive it.  ``assemble_L`` checks each off-diagonal pair with
+``precedes``, so each such check has a memo of its own.  The divisor
+markings that passed validation are kept longer, in a set on their
+``FormalPairModel``, so a marking is checked once per model; one that
+fails is never recorded.
 """
 
 from __future__ import annotations
@@ -247,29 +250,18 @@ def is_minimal(model: FormalPairModel, comp: RPlusComponent) -> bool:
     return zero.j == inf.j and zero.ell == inf.ell
 
 
-def _validate_infinity_marking(model: FormalPairModel, m: RelativeMarking):
-    # an infinity marking matches a host marking dually: equal contact order
-    # at the inverse sector, so its contact fraction is the declared phase of
-    # the partner sector, not its own
-    z = model.z_sector(m.sector)
-    if m.contact <= 0 or frac(m.contact) != frac(-z.phase):
-        raise DomainError(
-            f"contact order {format_rational(m.contact)} has the wrong phase for an "
-            f"infinity marking on {m.sector!r}"
-        )
-    if not 1 <= m.j <= model.sigma_size(z.pi):
-        raise DomainError(f"basis index {m.j} outside the basis of {z.pi!r}")
-    if not 0 <= m.ell <= model.ell_max(m.sector):
-        raise DomainError(f"H-power {m.ell} outside [0, {model.ell_max(m.sector)}] on {m.sector!r}")
-
-
 def _validate_rplus_component(model: FormalPairModel, comp: RPlusComponent):
     if comp.genus < 0:
         raise DomainError("bubble component genus must be nonnegative")
     if len(comp.cls) != model.rank:
         raise DomainError("bubble component class has the wrong lattice rank")
+    # an infinity marking matches a host marking dually, so it is valid
+    # exactly when its dual is a valid divisor marking
     for m in comp.infinity:
-        _validate_infinity_marking(model, m)
+        try:
+            model.validate_relative_marking(model.dual_marking(m))
+        except DomainError as exc:
+            raise DomainError(f"infinity marking on {m.sector!r}: {exc}") from exc
     for m in comp.zero:
         model.validate_relative_marking(m)
     flux = sum((m.contact for m in comp.zero), Rational(0)) - sum(
@@ -634,11 +626,7 @@ def find_precedence_witness(
     """
     model.validate_relative_data(rd1)
     model.validate_relative_data(rd2)
-    sig1 = _signature(rd1)
-    _check_cap(sig1, rd2, max_components)
-    if _rules_out(sig1, _signature(rd2)):
-        return None
-    return _search(model, rd1, rd2, ({}, rd1.components, rd2.components, set()))
+    return _comparer(model, [rd1, rd2], max_components)(0, 1)
 
 
 class _Signature(NamedTuple):
@@ -684,16 +672,34 @@ def _rules_out(sig1: _Signature, sig2: _Signature) -> bool:
     )
 
 
+def _comparer(model, items, max_components):
+    """``witness(i, j)`` over the validated data ``items``: the witness
+    gluing ``items[i]`` into ``items[j]``, or None.  Checks the cap, then
+    the signatures, then searches; all searches share one memo."""
+    sigs = [_signature(rd) for rd in items]
+    ids: dict = {}
+    keys = [tuple(ids.setdefault(c, len(ids)) for c in rd.components) for rd in items]
+    cells: dict = {}
+    checked: set = set()
+
+    def witness(i, j):
+        _check_cap(sigs[i], items[j], max_components)
+        if _rules_out(sigs[i], sigs[j]):
+            return None
+        return _search(model, items[i], items[j], (cells, keys[i], keys[j], checked))
+
+    return witness
+
+
 def _search(model, rd1, rd2, memo):
-    """The witness search of ``find_precedence_witness`` on validated data,
-    for a pair within the cap that the signatures do not rule out.
+    """The witness search of ``_comparer`` on validated data, for a pair
+    within the cap that the signatures do not rule out.
 
     ``memo`` is ``(cells, keys1, keys2, checked)``: a dict of cell records,
     one hashable key per component of ``rd1`` and ``rd2``, equal exactly
     when the components are equal, and the set of bubble components already
     validated.  A record, like a component's validity, depends only on
-    content, so one memo may serve several searches (see
-    ``comparison_matrix``).
+    content, so the searches of one comparer share them.
     """
     comps1, comps2 = rd1.components, rd2.components
     cells, keys1, keys2, checked = memo
@@ -762,28 +768,14 @@ def comparison_matrix(
     pair of distinct data once, row by row: a pair over the cap raises
     SearchLimitError, and a pair the signatures do not rule out is searched.
     So an invalid datum raises before any search.  The searches share one
-    memo of cell records and validated bubble components, which lives as
-    long as this call; components are interned by content once, up front.
+    comparer's memo, which lives as long as this call.
     """
     items = list(data)
     for rd in items:
         model.validate_relative_data(rd)
-    sigs = [_signature(rd) for rd in items]
-    ids: dict = {}
-    keys = [tuple(ids.setdefault(c, len(ids)) for c in rd.components) for rd in items]
-    cells: dict = {}
-    checked: set = set()
-
-    def strictly_precedes(a, sa, ka, b, sb, kb):
-        if a == b:
-            return False
-        _check_cap(sa, b, max_components)
-        if _rules_out(sa, sb):
-            return False
-        return _search(model, a, b, (cells, ka, kb, checked)) is not None
-
-    rows = list(zip(items, sigs, keys))
-    return [[strictly_precedes(*row, *col) for col in rows] for row in rows]
+    witness = _comparer(model, items, max_components)
+    pairs = list(enumerate(items))
+    return [[a != b and witness(i, j) is not None for j, b in pairs] for i, a in pairs]
 
 
 def order_from_matrix(items, strict) -> list[int]:

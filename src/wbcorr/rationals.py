@@ -79,10 +79,6 @@ def format_rational(q) -> str:
         return num if den == "1" else f"{num}/{den}"
 
 
-def is_integral(q) -> bool:
-    return Rational(q).denominator == 1
-
-
 def floor_frac(q):
     """Split ``q`` into its integer floor and fractional part.
 

@@ -156,6 +156,16 @@ def test_invariant_batch(capsys, tmp_path, model_path):
     assert values == ["2", "0", "1", "1"]
 
 
+def test_invariant_batch_localization_detail_shows_the_parsed_d(capsys, tmp_path):
+    queries = [{"lambdas": ["1", "2", "3"], "d": "02"}, {"lambdas": ["1", "2"], "d": " 1"}]
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps(queries))
+    code, out, _ = run(capsys, "invariant", "--data", str(qpath))
+    assert code == 0
+    details = [line.split("\t")[3] for line in out.strip().split("\n")[1:]]
+    assert details == ["m=3,d=2", "m=2,d=1"]
+
+
 def test_rank_and_dims(capsys, model_path):
     code, out, _ = run(capsys, "rank", "--model", model_path, "--c", "0", "--format", "json")
     assert code == 0 and json.loads(out) == {"c": 0, "R": "1/2", "d": 0, "rank": 1}

@@ -264,6 +264,21 @@ def test_glue_rejects_bad_bubbles(pm_b, rd_one_marking):
     # leftover host marking
     with pytest.raises(DomainError):
         glue(pm_b, rd_one_marking, [])
+    # bad infinity markings: each is rejected by bubble validation, before
+    # any matching is tried
+    for bad, message in [
+        (mk("sa", Q(1)), "phase"),
+        (mk("sa", Q(1, 2), j=0), "basis index"),
+        (mk("sa", Q(1, 2), j=3), "basis index"),
+        (mk("sa", Q(1, 2), ell=pm_b.ell_max("sa") + 1), "H-power"),
+        (mk("sz", Q(1, 2)), "unknown divisor sector"),
+    ]:
+        bubble = RPlusComponent(
+            genus=0, cls=(Q(0), Q(0)), infinity=(bad,), zero=(mk("sa", Q(1, 2)),)
+        )
+        # the error names the marking as passed, not its dual
+        with pytest.raises(DomainError, match=f"^infinity marking on {bad.sector!r}: .*{message}"):
+            glue(pm_b, rd_one_marking, [bubble])
 
 
 def test_pre_minimal_splitting_law(pm_a):
@@ -479,6 +494,16 @@ def test_assemble_offdiag_validation(pm_b):
         assemble_L(pm_b, [rd2, rd1], offdiag={(1, 0): Q(1)})  # rd2 does not precede rd1
     with pytest.raises(TriangularError):
         assemble_L(pm_b, basis, coeff_rule=lambda _rd: Q(0))
+
+
+def test_assemble_offdiag_check_respects_the_cap(pm_b):
+    flat = rdata(comp(0, (Q(1), Q(1, 2)), rel=(mk("sa", Q(1, 2)),)))
+    bumpy = rdata(comp(1, (Q(1), Q(1, 2)), rel=(mk("sa", Q(1, 2)),)))
+    # the cap bounds only comparisons, so a basis without off-diagonals passes
+    assert assemble_L(pm_b, [flat, bumpy], max_components=1)[1][0] == 0
+    with pytest.raises(SearchLimitError):
+        assemble_L(pm_b, [flat, bumpy], offdiag={(1, 0): Q(1)}, max_components=1)
+    assert assemble_L(pm_b, [flat, bumpy], offdiag={(1, 0): Q(1)})[1][0] == 1
 
 
 def test_solve_examples():
