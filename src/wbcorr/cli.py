@@ -77,10 +77,6 @@ def _emit(args, doc, tsv_lines):
         sys.stdout.write(text)
 
 
-def _rat(value) -> str:
-    return format_rational(value)
-
-
 # ---------------------------------------------------------------------------
 # verb handlers
 
@@ -90,12 +86,11 @@ def _cmd_sectors(args):
     rows = [["b", "phase", "degshift", "support"]]
     sectors = []
     for delta in model.sector_index_set():
-        shift = model.degree_shift(delta.b, delta.R)
+        phase = format_rational(delta.R)
+        shift = format_rational(model.degree_shift(delta.b, delta.R))
         support = sorted(model.sector_support(delta))
-        sectors.append(
-            {"b": delta.b, "phase": _rat(delta.R), "degshift": _rat(shift), "support": support}
-        )
-        rows.append([str(delta.b), _rat(delta.R), _rat(shift), ",".join(map(str, support))])
+        sectors.append({"b": delta.b, "phase": phase, "degshift": shift, "support": support})
+        rows.append([str(delta.b), phase, shift, ",".join(map(str, support))])
     doc = {"d_top": model.d_top(), "n": model.n, "sectors": sectors}
     _emit(args, doc, ["\t".join(r) for r in rows])
 
@@ -106,13 +101,10 @@ def _cmd_degshift(args):
         raise DomainError("degshift needs --R")
     R = parse_rational(args.R)
     b = args.b if args.b is not None else 1 % model.r
-    shift = model.degree_shift(b, R)
-    taus = [model.tau(R, u) for u in range(1, model.n + 1)]
-    doc = {"b": b, "R": _rat(R), "degshift": _rat(shift), "tau": [_rat(t) for t in taus]}
-    rows = [
-        ["b", "R", "degshift", "tau"],
-        [str(b), _rat(R), _rat(shift), ",".join(_rat(t) for t in taus)],
-    ]
+    label, shift = format_rational(R), format_rational(model.degree_shift(b, R))
+    taus = [format_rational(model.tau(R, u)) for u in range(1, model.n + 1)]
+    doc = {"b": b, "R": label, "degshift": shift, "tau": taus}
+    rows = [["b", "R", "degshift", "tau"], [str(b), label, shift, ",".join(taus)]]
     _emit(args, doc, ["\t".join(r) for r in rows])
 
 
@@ -120,8 +112,8 @@ def _cmd_rank(args):
     model = _load_model(args)
     if args.c is not None:
         R, d = rank_ops.c_to_Rd(model, args.c)
-        doc = {"c": args.c, "R": _rat(R), "d": d, "rank": rank_ops.rk_tilde(model, R, d)}
-        rows = [["c", "R", "d", "rank"], [str(args.c), _rat(R), str(d), str(doc["rank"])]]
+        doc = {"c": args.c, "R": format_rational(R), "d": d, "rank": rank_ops.rk_tilde(model, R, d)}
+        rows = [["c", "R", "d", "rank"], [str(args.c), doc["R"], str(d), str(doc["rank"])]]
     elif args.R is not None:
         R = parse_rational(args.R)
         strict, weak = rank_ops.rk_pair(model, R)
@@ -130,7 +122,7 @@ def _cmd_rank(args):
             if rank_ops.lambda_value(model, j, a) != R:
                 raise AssertionError("preimage does not evaluate back to its label")
         doc = {
-            "R": _rat(R),
+            "R": format_rational(R),
             "rk_strict": strict,
             "rk_weak": weak,
             "sector_dim": rank_ops.sector_dim(model, R),
@@ -139,7 +131,7 @@ def _cmd_rank(args):
         rows = [
             ["R", "rk_strict", "rk_weak", "sector_dim", "preimages"],
             [
-                _rat(R),
+                format_rational(R),
                 str(strict),
                 str(weak),
                 str(doc["sector_dim"]),
@@ -159,24 +151,25 @@ def _cmd_dims(args):
         for R, mult in rank_ops.window(model, args.k):
             dim = rank_ops.moduli_dim(model, R)
             oracle = rank_ops.moduli_dim_oracle(model, R)
-            entries.append({"R": _rat(R), "multiplicity": mult, "dim": dim, "dim_oracle": oracle})
-            rows.append([_rat(R), str(mult), str(dim), str(oracle)])
+            label = format_rational(R)
+            entries.append({"R": label, "multiplicity": mult, "dim": dim, "dim_oracle": oracle})
+            rows.append([label, str(mult), str(dim), str(oracle)])
         doc = {"k": args.k, "window": entries}
     elif args.R is not None:
         R = parse_rational(args.R)
         c_min, c_max = rank_ops.c_bounds(model, R)
         doc = {
-            "R": _rat(R),
+            "R": format_rational(R),
             "dim": rank_ops.moduli_dim(model, R),
             "dim_oracle": rank_ops.moduli_dim_oracle(model, R),
-            "c_min": [_rat(c) for c in c_min],
-            "c_max": [_rat(c) for c in c_max],
-            "tau": [_rat(model.tau(R, u)) for u in range(1, model.n + 1)],
+            "c_min": [format_rational(c) for c in c_min],
+            "c_max": [format_rational(c) for c in c_max],
+            "tau": [format_rational(model.tau(R, u)) for u in range(1, model.n + 1)],
         }
         rows = [
             ["R", "dim", "dim_oracle", "c_min", "c_max"],
             [
-                _rat(R),
+                format_rational(R),
                 str(doc["dim"]),
                 str(doc["dim_oracle"]),
                 ",".join(doc["c_min"]),
@@ -203,14 +196,14 @@ def _invariant_entry(model, c, i, j, d):
         "c": c,
         "i": i,
         "j": j,
-        "R": _rat(R),
+        "R": format_rational(R),
         "R_floor": rfloor,
-        "R_frac": _rat(rfrac),
+        "R_frac": format_rational(rfrac),
         "d": d_of_c,
-        "h": _rat(h),
-        "h_prime": _rat(h_prime),
-        "c_max_factorial": _rat(fact),
-        "value": _rat(value),
+        "h": format_rational(h),
+        "h_prime": format_rational(h_prime),
+        "c_max_factorial": format_rational(fact),
+        "value": format_rational(value),
     }
 
 
@@ -239,7 +232,7 @@ def _cmd_invariant(args):
                 raise SchemaError(f"malformed batch query {idx}: {exc}") from exc
             if localization:
                 value = inv.localization_sum(lams, d)
-                entry = {"kind": "localization", "d": d, "value": _rat(value)}
+                entry = {"kind": "localization", "d": d, "value": format_rational(value)}
                 detail = f"m={len(lams)},d={d}"
             else:
                 qmodel = LocalModel.from_json(q["model"]) if "model" in q else model
@@ -272,14 +265,14 @@ def _cmd_correspond(args):
     else:
         image = corr.psi_inverse(model, datum)
         doc = {"direction": "inverse", "image": image.to_json()}
-        last, cell = "relative", lambda m: f"{m.sector}:{_rat(m.contact)}:{m.j}:{m.ell}"
+        last, cell = "relative", lambda m: f"{m.sector}:{format_rational(m.contact)}:{m.j}:{m.ell}"
     rows = [["component", "genus", "class", "absolute", last]]
     for idx, comp in enumerate(image.components):
         rows.append(
             [
                 str(idx),
                 str(comp.genus),
-                ",".join(_rat(c) for c in comp.cls),
+                ",".join(format_rational(c) for c in comp.cls),
                 ";".join(f"{m.sector}:{m.insertion}:{m.psi}" for m in comp.absolute),
                 ";".join(map(cell, getattr(comp, last))),
             ]
@@ -328,7 +321,7 @@ def _cmd_assemble(args):
     L = corr.assemble_L(
         model, basis, offdiag=offdiag, coeff_rule=rule, max_components=args.max_components
     )
-    matrix = [[_rat(x) for x in row] for row in L]
+    matrix = [[format_rational(x) for x in row] for row in L]
     doc = {"order": order, "matrix": matrix}
     rows = [["order", " ".join(map(str, order))]]
     rows += [[f"row{i}"] + matrix[i] for i in range(len(matrix))]
@@ -346,8 +339,8 @@ def _cmd_solve(args):
     L = [[parse_rational(x) for x in row] for row in matrix]
     v = [parse_rational(x) for x in vector]
     x = corr.solve_lower_triangular(L, v)
-    doc = {"solution": [_rat(value) for value in x]}
-    _emit(args, doc, [_rat(value) for value in x])
+    doc = {"solution": [format_rational(value) for value in x]}
+    _emit(args, doc, [format_rational(value) for value in x])
 
 
 _HANDLERS = {

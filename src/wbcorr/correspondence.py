@@ -12,7 +12,8 @@ The pieces, all exact and deterministic:
 * ``precedes``: the degeneration partial order, decided by a bounded
   complete search over bubble witnesses.
 * ``comparison_matrix``: the strict order on a list of data, each datum
-  validated once and each ordered pair searched at most once.
+  validated once and each ordered pair decided at most once, without
+  building a witness.
 * ``linear_extension`` / ``assemble_L`` / ``solve_lower_triangular``: the
   poset-indexed lower-triangular transfer matrix and its exact solve.
 
@@ -60,21 +61,24 @@ glued into it by bubble blocks.  One pass over a cell's arrangements
 target markings to blocks) records the first arrangement of each kind the
 search can use: one with a free block, one of pre-minimal blocks only, and
 one of minimal blocks only.  The pass reads contacts as integers over the
-cell's common denominator; classes, as ``Fraction`` vectors, are written
-only when the chosen arrangements are built into a witness, as
-``RPlusComponent``s paired with the host index of each infinity marking.
-Every witness is glued and checked against the target.
+cell's common denominator.  The search decides: it stops at the first map
+whose cell records admit a witness, and builds nothing, so
+``comparison_matrix`` decides every pair from cell records alone.  Only
+``find_precedence_witness`` (and ``precedes`` through it) builds the
+chosen arrangements into a witness, as ``RPlusComponent``s paired with the
+host index of each infinity marking, with classes as ``Fraction``
+vectors; it glues the witness, checks it against the target and validates
+each component.
 
-A cell record, like the validity of a bubble component, depends only on
-content, so each search reads and fills a memo of cell records and of
-bubble components already validated.  Every search runs through a
-comparer over data already validated, and the comparer holds one memo:
-one per ``find_precedence_witness`` or ``comparison_matrix`` call, which
-does not outlive it.  ``assemble_L`` checks each off-diagonal pair with
-``precedes``, so each such check has a memo of its own.  The divisor
-markings that passed validation are kept longer, in a set on their
-``FormalPairModel``, so a marking is checked once per model; one that
-fails is never recorded.
+A cell record depends only on content, so each search reads and fills a
+memo of cell records.  Every search runs through a comparer over data
+already validated, and the comparer holds one memo: one per
+``find_precedence_witness`` or ``comparison_matrix`` call, which does not
+outlive it.  ``assemble_L`` checks each off-diagonal pair with
+``precedes``, so each such check has a memo of its own and builds its
+witness.  The divisor markings that passed validation are kept longer, in
+a set on their ``FormalPairModel``, so a marking is checked once per
+model; one that fails is never recorded.
 """
 
 from __future__ import annotations
@@ -622,11 +626,14 @@ def find_precedence_witness(
     data agree marking-free), or None when no witness exists.  The search
     is complete over the formal witness space described in the module
     docstring; condition (P2) rejects witnesses that are pre-minimal
-    without being minimal.
+    without being minimal.  The witness is built from the search's
+    decision, glued and checked against ``rd2``, and each of its
+    components is validated.
     """
     model.validate_relative_data(rd1)
     model.validate_relative_data(rd2)
-    return _comparer(model, [rd1, rd2], max_components)(0, 1)
+    decision = _comparer(model, [rd1, rd2], max_components)(0, 1)
+    return None if decision is None else _build_witness(model, rd1, rd2, *decision)
 
 
 class _Signature(NamedTuple):
@@ -673,36 +680,41 @@ def _rules_out(sig1: _Signature, sig2: _Signature) -> bool:
 
 
 def _comparer(model, items, max_components):
-    """``witness(i, j)`` over the validated data ``items``: the witness
-    gluing ``items[i]`` into ``items[j]``, or None.  Checks the cap, then
-    the signatures, then searches; all searches share one memo."""
+    """``decide(i, j)`` over the validated data ``items``: the decision of
+    ``_search`` for gluing ``items[i]`` into ``items[j]``, or None.  Checks
+    the cap, then the signatures, then searches; all searches share one
+    memo of cell records."""
     sigs = [_signature(rd) for rd in items]
     ids: dict = {}
     keys = [tuple(ids.setdefault(c, len(ids)) for c in rd.components) for rd in items]
     cells: dict = {}
-    checked: set = set()
 
-    def witness(i, j):
+    def decide(i, j):
         _check_cap(sigs[i], items[j], max_components)
         if _rules_out(sigs[i], sigs[j]):
             return None
-        return _search(model, items[i], items[j], (cells, keys[i], keys[j], checked))
+        return _search(model, items[i], items[j], (cells, keys[i], keys[j]))
 
-    return witness
+    return decide
 
 
 def _search(model, rd1, rd2, memo):
-    """The witness search of ``_comparer`` on validated data, for a pair
-    within the cap that the signatures do not rule out.
+    """Decide, on validated data within the cap that the signatures do not
+    rule out, whether a witness glues ``rd1`` into ``rd2``.
 
-    ``memo`` is ``(cells, keys1, keys2, checked)``: a dict of cell records,
-    one hashable key per component of ``rd1`` and ``rd2``, equal exactly
-    when the components are equal, and the set of bubble components already
-    validated.  A record, like a component's validity, depends only on
-    content, so the searches of one comparer share them.
+    Returns ``(preimages, records)`` for the first map from host to target
+    components whose cells admit a witness (``preimages[t]`` lists the
+    hosts sent to target component t, ``records[t]`` is that cell's
+    record), or None.  Builds nothing: ``_build_witness`` turns the
+    decision into bubble components.
+
+    ``memo`` is ``(cells, keys1, keys2)``: a dict of cell records and one
+    hashable key per component of ``rd1`` and ``rd2``, equal exactly when
+    the components are equal.  A record depends only on content, so the
+    searches of one comparer share them.
     """
     comps1, comps2 = rd1.components, rd2.components
-    cells, keys1, keys2, checked = memo
+    cells, keys1, keys2 = memo
     for f in product(range(len(comps2)), repeat=len(comps1)):
         preimages = [[] for _ in comps2]
         for i, target in enumerate(f):
@@ -718,27 +730,33 @@ def _search(model, rd1, rd2, memo):
             records.append(rec)
         if len(records) < len(comps2):
             continue
-        any_b = any(rec.with_b is not None for rec in records)
-        if not (any_b or all(rec.minimal is not None for rec in records)):
-            continue
-        # construct: if a free block exists anywhere, prefer free arrangements
-        # (condition (P2) is then vacuous); otherwise build the all-minimal witness
-        witness, witness_hosts = [], []
-        for hosts, comp2, rec in zip(preimages, comps2, records):
-            free = any_b and rec.with_b is not None
-            arrangement = rec.with_b if free else rec.pre_minimal if any_b else rec.minimal
-            blocks, block_hosts = _cell_blocks(model, comps1, hosts, comp2, arrangement, free)
-            witness += blocks
-            witness_hosts += block_hosts
-        glued = _glue_tagged(model, comps1, witness, witness_hosts)
-        if glued != rd2:
-            raise AssertionError("constructed witness does not reproduce the target datum")
-        for comp in witness:
-            if comp not in checked:
-                _validate_rplus_component(model, comp)
-                checked.add(comp)
-        return witness
+        if any(rec.with_b is not None for rec in records) or all(
+            rec.minimal is not None for rec in records
+        ):
+            return preimages, records
     return None
+
+
+def _build_witness(model, rd1, rd2, preimages, records):
+    """The witness of a decision of ``_search``: the bubble components of
+    each cell, glued into ``rd2`` as a check, each one validated."""
+    comps1 = rd1.components
+    # if a free block exists anywhere, prefer free arrangements (condition
+    # (P2) is then vacuous); otherwise build the all-minimal witness
+    any_b = any(rec.with_b is not None for rec in records)
+    witness, witness_hosts = [], []
+    for hosts, comp2, rec in zip(preimages, rd2.components, records):
+        free = any_b and rec.with_b is not None
+        arrangement = rec.with_b if free else rec.pre_minimal if any_b else rec.minimal
+        blocks, block_hosts = _cell_blocks(model, comps1, hosts, comp2, arrangement, free)
+        witness += blocks
+        witness_hosts += block_hosts
+    glued = _glue_tagged(model, comps1, witness, witness_hosts)
+    if glued != rd2:
+        raise AssertionError("constructed witness does not reproduce the target datum")
+    for comp in witness:
+        _validate_rplus_component(model, comp)
+    return witness
 
 
 def precedes(
@@ -768,14 +786,15 @@ def comparison_matrix(
     pair of distinct data once, row by row: a pair over the cap raises
     SearchLimitError, and a pair the signatures do not rule out is searched.
     So an invalid datum raises before any search.  The searches share one
-    comparer's memo, which lives as long as this call.
+    comparer's memo, which lives as long as this call, and only decide:
+    no witness is built, glued or validated.
     """
     items = list(data)
     for rd in items:
         model.validate_relative_data(rd)
-    witness = _comparer(model, items, max_components)
+    decide = _comparer(model, items, max_components)
     pairs = list(enumerate(items))
-    return [[a != b and witness(i, j) is not None for j, b in pairs] for i, a in pairs]
+    return [[a != b and decide(i, j) is not None for j, b in pairs] for i, a in pairs]
 
 
 def order_from_matrix(items, strict) -> list[int]:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from wbcorr import FormalPairModel, LocalModel
 
@@ -165,3 +166,66 @@ def random_local_model(rng: random.Random, max_n=5, max_r=6, max_alpha=4) -> Loc
         beta=tuple(rng.randint(1, r) for _ in range(n)),
         alpha=tuple(rng.randint(1, max_alpha) for _ in range(n)),
     )
+
+
+def random_pair_model(rng: random.Random) -> dict:
+    """A random valid pair-model document over a ``random_local_model``.
+
+    The divisor sectors sit over base sector ``t`` at 1 or 2 phases of the
+    local model's distinguished generator.  Their partners sit over ``tb``
+    with the conjugate model and the negated phases, or, when the model is
+    its own conjugate, over ``t`` itself (a phase equal to its negation is
+    then its own partner).  About two draws in three have codimension 1;
+    there the lattice may carry a third coordinate that only a nonzero
+    ``FZ`` reaches.  (In codimension >= 2 a valid model has ``FZ = 0``: it
+    would lie in the kernel of both the pushforward and the pairing.)
+    """
+    local = random_local_model(rng, max_n=1 if rng.random() < 0.5 else 3, max_r=4, max_alpha=3)
+    phases = sorted({s.R for s in local.sector_index_set() if s.b == 1 % local.r})
+    chosen = rng.sample(phases, rng.randint(1, min(2, len(phases))))
+    basis_size = rng.randint(1, 2)
+    self_dual = local.conjugate() == local and rng.random() < 0.5
+    bases = ["t"] if self_dual else ["t", "tb"]
+    z_sectors = []
+
+    def add(name, bar, pi, phase, model):
+        z_sectors.append(
+            {"name": name, "bar": bar, "pi": pi, "phase": str(phase), "local_model": model.to_json()}
+        )
+
+    for k, phase in enumerate(chosen):
+        dual = (1 - phase) % 1
+        if self_dual and dual == phase:
+            add(f"s{k}", f"s{k}", "t", phase, local)
+        elif self_dual:
+            # a phase drawn with its negation gets one pair of sectors
+            if not any(z["phase"] == str(dual) for z in z_sectors):
+                add(f"s{k}", f"s{k}b", "t", phase, local)
+                add(f"s{k}b", f"s{k}", "t", dual, local)
+        else:
+            add(f"s{k}", f"s{k}b", "t", phase, local)
+            add(f"s{k}b", f"s{k}", "tb", dual, local.conjugate())
+    z, f = rng.randint(1, 2), rng.randint(1, 2)
+    lattice = {"rank": 2, "F": [0, f], "FZ": [0, 0], "Z_pairing": [0, z], "kappa_push": [[1, 0]]}
+    if local.n == 1 and rng.random() < 0.5:
+        w = rng.randint(1, 2)
+        lattice = {
+            "rank": 3, "F": [0, f, 0], "FZ": [0, 0, w], "Z_pairing": [0, z, 0], "kappa_push": [[1, 0, 0]]
+        }
+    return {
+        "s_sectors": [
+            {
+                "name": t,
+                "bar": bases[-1 - i],
+                "basis": [{"name": f"{t}_{j}", "deg": 2 * j} for j in range(basis_size)],
+            }
+            for i, t in enumerate(bases)
+        ],
+        "z_sectors": z_sectors,
+        "k_classes": ["one_X", "H2_X"][: rng.randint(1, 2)],
+        "lattice": lattice,
+    }
+
+
+# random valid pair-model documents, drawn through a Hypothesis-controlled rng
+pair_model_docs = st.randoms(use_true_random=False).map(random_pair_model)

@@ -392,16 +392,19 @@ def test_comparison_matrix_on_subsets(name, draw):
     assert comparison_matrix(model, subset) == [[pairwise[i][j] for j in picks] for i in picks]
 
 
-def test_comparison_matrix_validates_each_bubble_once_per_call(monkeypatch):
-    model, data, _ = comparison_pool("b")
-    witnesses = [
-        comp
-        for a in data
-        for b in data
-        if a != b
-        for comp in find_precedence_witness(model, a, b) or ()
-    ]
-    assert len(witnesses) > len(set(witnesses))  # components repeat across pairs
+def test_comparison_matrix_builds_no_witness(monkeypatch):
+    pools = [comparison_pool(name) for name in ("b", "c")]  # pairwise matrices built first
+
+    def refuse(*args):
+        raise AssertionError("the matrix path built a witness")
+
+    with monkeypatch.context() as patch:
+        for name in ("_cell_blocks", "_glue_tagged", "_validate_rplus_component"):
+            patch.setattr(corr, name, refuse)
+        for model, data, pairwise in pools:
+            assert comparison_matrix(model, data) == pairwise
+
+    # find_precedence_witness still validates every component it returns
     validated = []
     validate = corr._validate_rplus_component
 
@@ -410,14 +413,13 @@ def test_comparison_matrix_validates_each_bubble_once_per_call(monkeypatch):
         return validate(model, comp)
 
     monkeypatch.setattr(corr, "_validate_rplus_component", counted)
-    per_call = []
-    for _ in range(2):
-        validated.clear()
-        comparison_matrix(model, data)
-        assert len(validated) == len(set(validated)) and set(validated) == set(witnesses)
-        per_call.append(list(validated))
-    # the set of validated components lives as long as one call
-    assert per_call[0] == per_call[1]
+    for model, data, pairwise in pools:
+        for a, row in zip(data, pairwise):
+            for b, strict in zip(data, row):
+                if strict:
+                    validated.clear()
+                    witness = find_precedence_witness(model, a, b)
+                    assert witness and validated == witness
 
 
 # -- linear extension and the matrix -------------------------------------------
