@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import correspondence as corr
@@ -182,16 +183,11 @@ def _cmd_dims(args):
 
 
 def _invariant_entry(model, c, i, j, d):
-    R, d_of_c = rank_ops.c_to_Rd(model, c)
-    value = inv.relative_invariant(model, inv.ProperInsertionPair(c=c, i=i, j=j, d=d))
-    h = inv.h_invariant(model, R, d_of_c)
-    h_prime = inv.h_prime_oracle(model, R, d_of_c)
+    R, d, h, value = inv._ranked_invariant(model, inv.ProperInsertionPair(c=c, i=i, j=j, d=d))
+    h_prime = inv.h_prime_oracle(model, R, d)
     rfloor, rfrac = floor_frac(R)
-    fact = Rational(1)
-    _, c_max = rank_ops.c_bounds(model, R)
-    for u in range(1, model.n + 1):
-        steps = int(c_max[u - 1] - Rational(model.beta[u - 1], model.r))
-        fact *= gen_factorial(c_max[u - 1], steps)
+    c_min, c_max = rank_ops.c_bounds(model, R)
+    fact = math.prod(gen_factorial(hi, int(hi - lo)) for lo, hi in zip(c_min, c_max))
     return {
         "c": c,
         "i": i,
@@ -199,7 +195,7 @@ def _invariant_entry(model, c, i, j, d):
         "R": format_rational(R),
         "R_floor": rfloor,
         "R_frac": format_rational(rfrac),
-        "d": d_of_c,
+        "d": d,
         "h": format_rational(h),
         "h_prime": format_rational(h_prime),
         "c_max_factorial": format_rational(fact),
@@ -247,7 +243,7 @@ def _cmd_invariant(args):
         return
     if args.c is None or args.i is None or args.j is None:
         raise DomainError("invariant needs --c, --i, --j (or --data for batch mode)")
-    entry = _invariant_entry(model, args.c, args.i, args.j, args.d)
+    entry = _invariant_entry(model or _load_model(args), args.c, args.i, args.j, args.d)
     _emit(args, entry, [entry["value"]])
 
 

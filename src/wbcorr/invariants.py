@@ -10,16 +10,18 @@ contact-order upper bounds.  ``h_prime_oracle`` recomputes ``r H prod_u
 gfact(c_max_u, ...)`` along the independent fixed-point route (automorphism
 and weight factors over the label's preimage coordinates), and
 ``localization_sum`` provides the underlying exact fixed-point identity.
-The full basis-paired invariant is ``r * delta_{ij} * H``.
+The full basis-paired invariant is ``r * delta_{ij} * H``; each pair is
+ranked, checked and evaluated once, and ``relative_invariant`` and the
+CLI's invariant entries read its ``(R, d, H, value)`` from that one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ImproperPairError, LabelError
+from .errors import DomainError, ImproperPairError
 from .local_model import LocalModel
-from .ranking import c_bounds, c_to_Rd, require_fiber_label, tau_numerators
+from .ranking import _require_ranked_label, c_bounds, c_to_Rd, tau_numerators
 from .rationals import Rational, gen_factorial_ints
 
 __all__ = [
@@ -46,13 +48,6 @@ class ProperInsertionPair:
     d: int | None = None
 
 
-def _check_d(pre, R, d: int):
-    """Check the H-power ``d`` against the preimage list ``pre`` of ``R``."""
-    ds = len(pre) - 1
-    if not 0 <= d <= ds:
-        raise LabelError(f"H-power {d} outside [0, {ds}] for label {R}")
-
-
 def h_invariant(model: LocalModel, R, d: int):
     """The closed-form integral ``(1/r) R^d prod_u 1/gfact(c_max_u, [tau_u])``.
 
@@ -61,9 +56,7 @@ def h_invariant(model: LocalModel, R, d: int):
     ``c_max_u = (beta_u + m_u r) / r``, numerator and denominator are
     accumulated as integers and reduced once.
     """
-    pre = require_fiber_label(model, R)
-    R = Rational(R)
-    _check_d(pre, R, d)
+    R, _ = _require_ranked_label(model, R, d)
     r = model.r
     taus, tau_den = tau_numerators(model, R)
     num, den = R.numerator**d, r * R.denominator**d
@@ -87,9 +80,7 @@ def h_prime_oracle(model: LocalModel, R, d: int):
     equals ``alpha_u R``); the localization identity collapses the
     fixed-point sum to 1.
     """
-    pre = require_fiber_label(model, R)
-    R = Rational(R)
-    _check_d(pre, R, d)
+    R, pre = _require_ranked_label(model, R, d)
     if d == 0:
         return Rational(1, model.r)
     js = [j for j, _ in pre]
@@ -129,12 +120,8 @@ def localization_sum(lambdas, d: int):
     return total
 
 
-def relative_invariant(model: LocalModel, pair: ProperInsertionPair):
-    """Basis-paired invariant ``r * delta_{i j} * H(R, d)`` for a proper pair.
-
-    ``(R, d)`` is determined by ``pair.c``; a pair whose supplied ``d``
-    disagrees is rejected as improper.  Off-diagonal basis indices give 0.
-    """
+def _ranked_invariant(model: LocalModel, pair: ProperInsertionPair):
+    """``(R, d, H(R, d), value)`` of a proper pair; ``relative_invariant`` returns ``value``."""
     R, d = c_to_Rd(model, pair.c)
     if pair.d is not None and pair.d != d:
         raise ImproperPairError(
@@ -142,6 +129,14 @@ def relative_invariant(model: LocalModel, pair: ProperInsertionPair):
         )
     if pair.i < 1 or pair.j < 1:
         raise ImproperPairError("basis indices are 1-based positive integers")
-    if pair.i != pair.j:
-        return Rational(0)
-    return model.r * h_invariant(model, R, d)
+    h = h_invariant(model, R, d)
+    return R, d, h, model.r * h if pair.i == pair.j else Rational(0)
+
+
+def relative_invariant(model: LocalModel, pair: ProperInsertionPair):
+    """Basis-paired invariant ``r * delta_{i j} * H(R, d)`` for a proper pair.
+
+    ``(R, d)`` is determined by ``pair.c``; a pair whose supplied ``d``
+    disagrees is rejected as improper.  Off-diagonal basis indices give 0.
+    """
+    return _ranked_invariant(model, pair)[3]

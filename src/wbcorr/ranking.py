@@ -78,6 +78,15 @@ def require_fiber_label(model: LocalModel, R):
     return pre
 
 
+def _require_ranked_label(model: LocalModel, R, d: int):
+    """``R`` as a rational and its preimage list, once ``(R, d)`` is checked as a ranked label."""
+    pre = require_fiber_label(model, R)
+    R = Rational(R)
+    if not 0 <= d < len(pre):
+        raise LabelError(f"H-power {d} outside [0, {len(pre) - 1}] for label {R}")
+    return R, pre
+
+
 def rk_pair(model: LocalModel, R) -> tuple[int, int]:
     """The rankings (#labels < R) + 1 and #labels <= R.
 
@@ -117,9 +126,7 @@ def window(model: LocalModel, k: int) -> list[tuple[object, int]]:
 
 def rk_tilde(model: LocalModel, R, ell: int) -> int:
     """Rank of the ranked label ``(R, ell)``: ``rk_weak(R) - ell``."""
-    ds = sector_dim(model, R)
-    if not 0 <= ell <= ds:
-        raise LabelError(f"H-power {ell} outside [0, {ds}] for label {R}")
+    _require_ranked_label(model, R, ell)
     return rk_pair(model, R)[1] - ell
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from collections import Counter
 from decimal import Decimal
@@ -16,10 +17,12 @@ from wbcorr import (
     precedes,
 )
 from wbcorr import correspondence as corr
+from wbcorr import invariants as inv
 from wbcorr import ranking as rank_ops
 from wbcorr.cli import VERB_OPERATIONS, main
+from wbcorr.rationals import floor_frac, format_rational, gen_factorial
 
-from conftest import PAIR_MODEL_B, PAIR_MODEL_C
+from conftest import PAIR_MODEL_B, PAIR_MODEL_C, random_local_model
 
 M2_DOC = {"r": 2, "beta": [1, 2], "alpha": [1, 1]}
 
@@ -154,6 +157,87 @@ def test_invariant_batch(capsys, tmp_path, model_path):
     assert lines[0].split("\t") == ["index", "kind", "value", "detail"]
     values = [line.split("\t")[2] for line in lines[1:]]
     assert values == ["2", "0", "1", "1"]
+
+
+def test_invariant_batch_evaluates_each_query_once(capsys, tmp_path, model_path, monkeypatch):
+    queries = [
+        {"c": 0, "i": 1, "j": 1},
+        {"c": 3, "i": 1, "j": 2},  # off-diagonal: the value is 0, h is still reported
+        {"c": 600, "i": 2, "j": 2},
+        {"model": {"r": 1, "beta": [1, 1], "alpha": [1, 1]}, "c": 0, "i": 1, "j": 1, "d": 1},
+    ]
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps(queries))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    # counted where each name is looked up: invariants imports them by name
+    for module, name in [
+        (rank_ops, "c_to_Rd"),
+        (inv, "c_to_Rd"),
+        (inv, "h_invariant"),
+        (inv, "h_prime_oracle"),
+    ]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, out, _ = run(
+        capsys, "invariant", "--model", model_path, "--data", str(qpath), "--format", "json"
+    )
+    assert code == 0
+    assert [e["d"] for e in json.loads(out)["results"]] == [0, 0, 0, 1]
+    n = len(queries)
+    # the oracle is a second route, so it runs once per query as well
+    assert calls == {"c_to_Rd": n, "h_invariant": n, "h_prime_oracle": n}
+
+
+def _reference_entry(model, c, i, j):
+    """One invariant entry composed of the public calls, one route per field."""
+    R, d = rank_ops.c_to_Rd(model, c)
+    rfloor, rfrac = floor_frac(R)
+    c_min, c_max = rank_ops.c_bounds(model, R)
+    fact = Fraction(1)
+    for lo, hi in zip(c_min, c_max):
+        fact *= gen_factorial(hi, int(hi - lo))
+    value = inv.relative_invariant(model, inv.ProperInsertionPair(c=c, i=i, j=j))
+    return {
+        "c": c,
+        "i": i,
+        "j": j,
+        "kind": "relative",
+        "R": format_rational(R),
+        "R_floor": rfloor,
+        "R_frac": format_rational(rfrac),
+        "d": d,
+        "h": format_rational(inv.h_invariant(model, R, d)),
+        "h_prime": format_rational(inv.h_prime_oracle(model, R, d)),
+        "c_max_factorial": format_rational(fact),
+        "value": format_rational(value),
+    }
+
+
+def test_invariant_batch_matches_the_public_calls_on_random_models(capsys, tmp_path):
+    rng = random.Random(12)
+    queries, expected = [], []
+    for _ in range(150):
+        model = random_local_model(rng)
+        for _ in range(3):
+            c = rng.randint(0, 60) if rng.random() < 0.75 else rng.randint(61, 600)
+            i, j = rng.randint(1, 3), rng.randint(1, 3)
+            query = {"model": model.to_json(), "c": c, "i": i, "j": j}
+            expected.append(_reference_entry(model, c, i, j))
+            if rng.random() < 0.3:
+                query["d"] = expected[-1]["d"]
+            queries.append(query)
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps(queries))
+    code, out, err = run(capsys, "invariant", "--data", str(qpath), "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"] == expected
 
 
 def test_invariant_batch_localization_detail_shows_the_parsed_d(capsys, tmp_path):

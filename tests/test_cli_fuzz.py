@@ -5,7 +5,8 @@ line to stderr, and never ends in a traceback (an exception out of
 ``main``).  Each example fuzzes one file argument of a verb and gives the
 others their valid base documents, so the fuzzed one is read in full: it
 gets its base document with one node, possibly the root, replaced by a
-random shape.
+random shape.  A second test runs every verb with each of its flags left
+out in turn, under the same conditions.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +122,7 @@ VERBS = {
     "rank": (["--c", "3"], [("--model", MODEL)]),
     "dims": (["--k", "1"], [("--model", MODEL)]),
     "invariant": ([], [("--model", MODEL), ("--data", QUERIES)]),
+    "invariant-single": (["--c", "0", "--i", "1", "--j", "1"], [("--model", MODEL)]),
     "correspond": ([], [("--pair-model", PAIR_MODEL_B), ("--data", RD_DOC)]),
     # the inverse direction of correspond reads an absolute datum
     "correspond-inverse": ([], [("--pair-model", PAIR_MODEL_B), ("--data", AD_DOC)]),
@@ -132,16 +135,11 @@ VERBS = {
 }
 
 
-@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_random_json_never_ends_in_a_traceback(data):
-    name = data.draw(st.sampled_from(sorted(VERBS)), label="verb")
-    fixed, files = VERBS[name]
+def _assert_clean_exit(name, fixed, files):
+    """Run verb ``name`` with ``fixed`` and ``(flag, document)`` files; check it exits cleanly."""
     argv = [name.split("-")[0], *fixed]
-    fuzzed = data.draw(st.sampled_from([flag for flag, _ in files]), label="fuzzed")
     with tempfile.TemporaryDirectory() as tmp:
-        for flag, base in files:
-            doc = data.draw(_mutated(base), label=flag) if flag == fuzzed else base
+        for flag, doc in files:
             path = Path(tmp) / f"{flag[2:]}.json"
             path.write_text(json.dumps(doc))
             argv += [flag, str(path)]
@@ -152,3 +150,28 @@ def test_random_json_never_ends_in_a_traceback(data):
     assert code in (0, 1, 2)
     assert message == "" or (message.count("\n") == 1 and message.endswith("\n")), message
     assert "Traceback" not in message
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_json_never_ends_in_a_traceback(data):
+    name = data.draw(st.sampled_from(sorted(VERBS)), label="verb")
+    fixed, files = VERBS[name]
+    fuzzed = data.draw(st.sampled_from([flag for flag, _ in files]), label="fuzzed")
+    files = [(f, data.draw(_mutated(doc), label=f) if f == fuzzed else doc) for f, doc in files]
+    _assert_clean_exit(name, fixed, files)
+
+
+# every flag of every verb, given as a fixed argument or a file
+DROPS = [
+    (name, flag)
+    for name, (fixed, files) in sorted(VERBS.items())
+    for flag in fixed[::2] + [flag for flag, _ in files]
+]
+
+
+@pytest.mark.parametrize("name, dropped", DROPS, ids=[f"{n}-without{f}" for n, f in DROPS])
+def test_dropping_any_flag_never_ends_in_a_traceback(name, dropped):
+    fixed, files = VERBS[name]
+    kept = [arg for pair in zip(fixed[::2], fixed[1::2]) if pair[0] != dropped for arg in pair]
+    _assert_clean_exit(name, kept, [(flag, doc) for flag, doc in files if flag != dropped])

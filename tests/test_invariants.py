@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbcorr import DomainError, ImproperPairError, LocalModel, ProperInsertionPair
+from wbcorr import DomainError, ImproperPairError, LabelError, LocalModel, ProperInsertionPair
 from wbcorr.invariants import h_invariant, h_prime_oracle, localization_sum, relative_invariant
-from wbcorr.ranking import c_bounds, c_to_Rd, lambda_preimages, sector_dim, window
+from wbcorr.ranking import c_bounds, c_to_Rd, lambda_preimages, rk_tilde, sector_dim, window
 from wbcorr.rationals import Rational as Q
 from wbcorr.rationals import floor, gen_factorial
 
@@ -38,6 +38,22 @@ def test_h_invariant_range_checks():
         h_invariant(M2, Q(1, 2), 1)  # sector dim is 0 there
     with pytest.raises(DomainError):
         h_prime_oracle(M11, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "R, d, message",
+    [
+        (Q(1, 2), 1, "H-power 1 outside [0, 0] for label 1/2"),
+        ("2/4", -1, "H-power -1 outside [0, 0] for label 1/2"),
+        (1, 2, "H-power 2 outside [0, 1] for label 1"),
+    ],
+)
+def test_h_power_range_check_reads_alike_everywhere(R, d, message):
+    model = M11 if R == 1 else M2
+    for fn in (rk_tilde, h_invariant, h_prime_oracle):
+        with pytest.raises(LabelError) as excinfo:
+            fn(model, R, d)
+        assert str(excinfo.value) == message, fn.__name__
 
 
 def test_localization_examples():
