@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from . import correspondence as corr
@@ -19,7 +18,14 @@ from . import ranking as rank_ops
 from .errors import DomainError, SchemaError
 from .local_model import LocalModel
 from .pair_model import FormalPairModel, RelativeData, load_data
-from .rationals import Rational, _parse_int, floor_frac, format_rational, gen_factorial, parse_rational
+from .rationals import (
+    Rational,
+    _parse_int,
+    floor_frac,
+    format_rational,
+    gen_factorial_ints,
+    parse_rational,
+)
 
 # Operation families reachable from each verb (coverage-tested).
 VERB_OPERATIONS = {
@@ -186,8 +192,14 @@ def _invariant_entry(model, c, i, j, d):
     R, d, h, value = inv._ranked_invariant(model, inv.ProperInsertionPair(c=c, i=i, j=j, d=d))
     h_prime = inv.h_prime_oracle(model, R, d)
     rfloor, rfrac = floor_frac(R)
-    c_min, c_max = rank_ops.c_bounds(model, R)
-    fact = math.prod(gen_factorial(hi, int(hi - lo)) for lo, hi in zip(c_min, c_max))
+    # c_max_factorial: prod_u gfact(c_max_u, c_max_u - c_min_u), with the bounds
+    # C_u / r from the contact-bound kernel and c_min_u = beta_u / r
+    r, num, den = model.r, 1, 1
+    bounds = rank_ops._contact_numerators(model, *rank_ops.tau_numerators(model, R))
+    for b, C in zip(model.beta, bounds):
+        f_num, f_den = gen_factorial_ints(C, r, (C - b) // r)
+        num *= f_num
+        den *= f_den
     return {
         "c": c,
         "i": i,
@@ -198,7 +210,7 @@ def _invariant_entry(model, c, i, j, d):
         "d": d,
         "h": format_rational(h),
         "h_prime": format_rational(h_prime),
-        "c_max_factorial": format_rational(fact),
+        "c_max_factorial": format_rational(Rational(num, den)),
         "value": format_rational(value),
     }
 

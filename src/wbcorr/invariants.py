@@ -13,6 +13,10 @@ and weight factors over the label's preimage coordinates), and
 The full basis-paired invariant is ``r * delta_{ij} * H``; each pair is
 ranked, checked and evaluated once, and ``relative_invariant`` and the
 CLI's invariant entries read its ``(R, d, H, value)`` from that one pass.
+
+``h_invariant`` and ``h_prime_oracle`` each check the label once and read
+the tau numerators that check computed; both accumulate numerator and
+denominator as integers and build one rational for the value returned.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ImproperPairError
 from .local_model import LocalModel
-from .ranking import _require_ranked_label, c_bounds, c_to_Rd, tau_numerators
+from .ranking import _contact_numerators, _require_ranked_label, c_to_Rd
 from .rationals import Rational, gen_factorial_ints
 
 __all__ = [
@@ -56,9 +60,8 @@ def h_invariant(model: LocalModel, R, d: int):
     ``c_max_u = (beta_u + m_u r) / r``, numerator and denominator are
     accumulated as integers and reduced once.
     """
-    R, _ = _require_ranked_label(model, R, d)
+    R, taus, tau_den, _ = _require_ranked_label(model, R, d)
     r = model.r
-    taus, tau_den = tau_numerators(model, R)
     num, den = R.numerator**d, r * R.denominator**d
     for u, (b, t) in enumerate(zip(model.beta, taus), start=1):
         m = t // tau_den
@@ -78,22 +81,24 @@ def h_prime_oracle(model: LocalModel, R, d: int):
     ``1 / (r prod_{u in J} alpha_u) (1/R)^{|J| - d}`` by the product of the
     ``c_max`` bounds over the preimage coordinates ``J`` (each of which
     equals ``alpha_u R``); the localization identity collapses the
-    fixed-point sum to 1.
+    fixed-point sum to 1.  With ``R = p/q`` and ``c_max_u = C_u / r``, the
+    value is ``q^(|J|-d) prod_J C_u`` over ``r^(|J|+1) p^(|J|-d) prod_J alpha_u``.
     """
-    R, pre = _require_ranked_label(model, R, d)
+    R, taus, tau_den, pre = _require_ranked_label(model, R, d)
+    r = model.r
     if d == 0:
-        return Rational(1, model.r)
-    js = [j for j, _ in pre]
-    _, cmax = c_bounds(model, R)
-    alpha_prod = 1
-    cmax_prod = Rational(1)
-    for j in js:
-        alpha_prod *= model.alpha[j - 1]
-        if cmax[j - 1] != model.alpha[j - 1] * R:
+        return Rational(1, r)
+    p, q = R.numerator, R.denominator
+    cmax = _contact_numerators(model, taus, tau_den)
+    num, den = 1, r
+    for j, _ in pre:
+        alpha, bound = model.alpha[j - 1], cmax[j - 1]
+        if bound * q != alpha * p * r:  # c_max_j == alpha_j R
             raise DomainError(f"contact bound at coordinate {j} is not alpha_j R; label bug")
-        cmax_prod *= cmax[j - 1]
-    h2 = Rational(1, model.r * alpha_prod) * (1 / R) ** (len(js) - d)
-    return h2 * cmax_prod
+        num *= bound
+        den *= alpha * r
+    k = len(pre) - d
+    return Rational(num * q**k, den * p**k)
 
 
 def localization_sum(lambdas, d: int):

@@ -15,9 +15,11 @@ coordinate/cover pairs ``(j, a)``).  This module computes, exactly:
 Everything is a pure function of (model, arguments); labels are plain
 rationals and ranked labels plain ``(R, d)`` pairs.  Internally the work is
 integer arithmetic: ``tau(R, j)`` as numerators over a common denominator,
-and the window-0 ladder cached on the model (``LocalModel.ladder``) as
-numerators over ``r lcm(alpha)``.  Rationals are built only for the values
-returned.
+the contact-order bounds as numerators over ``r``, and the window-0 ladder
+cached on the model (``LocalModel.ladder``) as numerators over
+``r lcm(alpha)``.  One label check computes the tau numerators once and
+hands them back with the preimages, so the invariant kernels built on it
+never recompute them.  Rationals are built only for the values returned.
 """
 
 from __future__ import annotations
@@ -52,39 +54,63 @@ def tau_numerators(model: LocalModel, R) -> tuple[list[int], int]:
     """``tau(R, j)`` for every coordinate as integer numerators over one denominator.
 
     With ``R = p/q`` the numerators are ``alpha_j r p - beta_j q`` over ``r q``,
-    all plain ints.  Package-internal integer kernel, shared with
-    ``invariants.h_invariant``; not exported.
+    all plain ints.  Package-internal integer kernel behind the label check,
+    the rankings and the CLI's ``c_max_factorial``; not exported.
     """
     p, q = R.numerator, R.denominator
     rp = model.r * p
     return [a * rp - b * q for b, a in zip(model.beta, model.alpha)], model.r * q
 
 
-def lambda_preimages(model: LocalModel, R) -> list[tuple[int, int]]:
-    """All pairs ``(j, a)`` with label R, in coordinate order."""
-    taus, den = tau_numerators(model, Rational(R))
+def _preimages(taus: list[int], den: int) -> list[tuple[int, int]]:
     # tau(R, j) equals a exactly when (j, a) is a preimage
     return [(j, t // den) for j, t in enumerate(taus, start=1) if t >= 0 and t % den == 0]
 
 
-def require_fiber_label(model: LocalModel, R):
-    """Validate ``R`` as a fiber-class label; returns its preimage list."""
+def lambda_preimages(model: LocalModel, R) -> list[tuple[int, int]]:
+    """All pairs ``(j, a)`` with label R, in coordinate order."""
+    return _preimages(*tau_numerators(model, Rational(R)))
+
+
+def _fiber_label(model: LocalModel, R):
+    """``(R, taus, den, preimages)`` of a fiber-class label ``R``; raises LabelError otherwise.
+
+    ``taus`` over ``den`` are the ``tau_numerators`` the check computed,
+    handed back so that its callers need not compute them again.
+    """
     R = Rational(R)
     if R <= 0:
         raise LabelError(f"fiber-class label must be positive, got {R}")
-    pre = lambda_preimages(model, R)
+    taus, den = tau_numerators(model, R)
+    pre = _preimages(taus, den)
     if not pre:
         raise LabelError(f"{R} is not in the label image of this model")
-    return pre
+    return R, taus, den, pre
+
+
+def require_fiber_label(model: LocalModel, R):
+    """Validate ``R`` as a fiber-class label; returns its preimage list."""
+    return _fiber_label(model, R)[3]
 
 
 def _require_ranked_label(model: LocalModel, R, d: int):
-    """``R`` as a rational and its preimage list, once ``(R, d)`` is checked as a ranked label."""
-    pre = require_fiber_label(model, R)
-    R = Rational(R)
+    """``_fiber_label(model, R)``, once ``(R, d)`` is checked as a ranked label."""
+    R, _, _, pre = label = _fiber_label(model, R)
     if not 0 <= d < len(pre):
         raise LabelError(f"H-power {d} outside [0, {len(pre) - 1}] for label {R}")
-    return R, pre
+    return label
+
+
+def _contact_numerators(model: LocalModel, taus: list[int], den: int) -> list[int]:
+    """Numerators over ``r`` of the bounds ``c_max_j = beta_j / r + [tau(R, j)]``.
+
+    ``taus`` over ``den`` are the ``tau_numerators`` at the label, so each
+    is ``beta_j + m_j r`` with ``m_j = tau_j // den``.  Package-internal
+    integer kernel behind ``c_bounds``, ``invariants.h_prime_oracle`` and
+    the CLI's ``c_max_factorial``; not exported.
+    """
+    r = model.r
+    return [b + (t // den) * r for b, t in zip(model.beta, taus)]
 
 
 def rk_pair(model: LocalModel, R) -> tuple[int, int]:
@@ -166,8 +192,7 @@ def c_bounds(model: LocalModel, R):
 
     ``c_min_j = beta_j / r`` and ``c_max_j = beta_j / r + [tau(R, j)]``.
     """
-    require_fiber_label(model, R)
-    taus, den = tau_numerators(model, Rational(R))
+    _, taus, den, _ = _fiber_label(model, R)
     c_min = [Rational(b, model.r) for b in model.beta]
-    c_max = [Rational(b + (t // den) * model.r, model.r) for b, t in zip(model.beta, taus)]
+    c_max = [Rational(num, model.r) for num in _contact_numerators(model, taus, den)]
     return c_min, c_max

@@ -32,7 +32,9 @@ def Rational(*args):
     return Fraction(*args)
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_INTEGER = r"[+-]?\d+"
+_RATIONAL_RE = re.compile(rf"^{_INTEGER}(/\d+)?$")
+_INTEGER_RE = re.compile(rf"^{_INTEGER}$")
 
 
 def parse_rational(text: str):
@@ -54,10 +56,17 @@ def parse_rational(text: str):
 def _parse_int(value) -> int:
     """``int(value)`` for a JSON integer or an integer string.
 
-    Package-internal, for the JSON readers.  Raises TypeError for any other
-    value, floats and bools included, which ``int`` would truncate or take.
+    Package-internal, for the JSON readers.  A string must be, once stripped,
+    an integer literal of the ``parse_rational`` wire format (an optional
+    sign and digits); any other string, such as ``"1_0"``, which ``int``
+    would take, raises ValueError.  Any other value, floats and bools
+    included, which ``int`` would truncate or take, raises TypeError.
     """
-    if type(value) is int or isinstance(value, str):
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        if not _INTEGER_RE.match(value.strip()):
+            raise ValueError(f"not an integer literal: {value!r}")
         return int(value)
     raise TypeError(f"expected an integer, got {value!r}")
 
@@ -105,8 +114,11 @@ def gen_factorial_ints(p: int, q: int, m: int) -> tuple[int, int]:
     The factors ``p/q - k`` share the denominator ``q``, so the product is
     ``p (p - q) ... (p - m q)`` over ``q^(m+1)``.  Needs plain ints with
     ``q >= 1`` and ``m >= -1``.  Package-internal integer kernel, shared by
-    ``gen_factorial`` and ``invariants.h_invariant``; not exported.
+    ``gen_factorial``, ``invariants.h_invariant`` and the CLI's
+    ``c_max_factorial``; not exported.
     """
+    if m < -1:
+        raise ValueError(f"gen_factorial needs an integer m >= -1, got {m!r}")
     return math.prod(range(p, p - (m + 1) * q, -q)), q ** (m + 1)
 
 

@@ -195,6 +195,46 @@ def test_invariant_batch_evaluates_each_query_once(capsys, tmp_path, model_path,
     assert calls == {"c_to_Rd": n, "h_invariant": n, "h_prime_oracle": n}
 
 
+def test_invariant_batch_computes_the_tau_numerators_once_per_route(
+    capsys, tmp_path, model_path, monkeypatch
+):
+    # h, h_prime and c_max_factorial each read the tau numerators once, and
+    # c_max_factorial is one integer product, not a product of gen_factorial
+    queries = [
+        {"c": 0, "i": 1, "j": 1},
+        {"c": 3, "i": 1, "j": 2},
+        {"c": 600, "i": 2, "j": 2},
+        {"model": {"r": 3, "beta": [1, 2, 3], "alpha": [2, 1, 3]}, "c": 44, "i": 1, "j": 1},
+        {"model": {"r": 1, "beta": [1, 1], "alpha": [1, 1]}, "c": 0, "i": 1, "j": 1, "d": 1},
+        {"lambdas": ["1", "2", "3"], "d": 2},
+    ]
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps(queries))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "wbcorr"]
+    for name, fn in [("tau_numerators", rank_ops.tau_numerators), ("gen_factorial", gen_factorial)]:
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted(name, fn))
+    code, out, _ = run(
+        capsys, "invariant", "--model", model_path, "--data", str(qpath), "--format", "json"
+    )
+    assert code == 0
+    relative = [e for e in json.loads(out)["results"] if e["kind"] == "relative"]
+    assert [e["d"] for e in relative] == [0, 0, 0, 2, 1]
+    assert calls["tau_numerators"] <= 3 * len(relative)
+    assert calls["gen_factorial"] == 0
+
+
 def _reference_entry(model, c, i, j):
     """One invariant entry composed of the public calls, one route per field."""
     R, d = rank_ops.c_to_Rd(model, c)
@@ -642,30 +682,32 @@ def test_exit_codes(capsys, model_path, tmp_path, pair_model_path):
         vpath.write_text(json.dumps(vector))
         code, out, err = run(capsys, "solve", "--matrix", str(mpath), "--vector", str(vpath))
         assert code == 2 and not out and err.startswith("SchemaError") and err.count("\n") == 1
-    # a float or bool where an integer is expected, or lambdas that are not an
-    # array, is malformed input: int() would truncate or take it silently
+    # a float or bool where an integer is expected, an integer string outside
+    # the p/q wire format ("1_0"), or lambdas that are not an array, is
+    # malformed input: int() would truncate or take it silently
     argvs = []
     for i, doc in enumerate(
         [{"r": 2.0, "beta": [1, 2], "alpha": [1, 1]}, {"r": 2, "beta": [1.9, 2], "alpha": [1, 1]},
-         {"r": 2, "beta": [1, 2], "alpha": [1, True]}]
+         {"r": 2, "beta": [1, 2], "alpha": [1, True]}, {"r": "1_0", "beta": [1, 2], "alpha": [1, 1]}]
     ):
         path = tmp_path / f"m{i}.json"
         path.write_text(json.dumps(doc))
         argvs.append(["sectors", "--model", str(path)])
     for i, row in enumerate(
         [{"c": 1.7, "i": 1, "j": 1}, {"c": 0, "i": True, "j": 1}, {"c": 0, "i": 1, "j": 1, "d": 0.0},
-         {"lambdas": "123", "d": 2}, {"lambdas": ["1", "2"], "d": 1.0}]
+         {"lambdas": "123", "d": 2}, {"lambdas": ["1", "2"], "d": 1.0}, {"c": "1_0", "i": 1, "j": 1},
+         {"c": 0, "i": "1.0", "j": 1}, {"lambdas": ["1", "2"], "d": "1_0"}, {"lambdas": ["1_0"], "d": 1}]
     ):
         path = tmp_path / f"q{i}.json"
         path.write_text(json.dumps([row]))
         argvs.append(["invariant", "--model", model_path, "--data", str(path)])
     data_path.write_text(json.dumps(_chain_docs()))
-    for i, entries in enumerate([[[1.9, 2, "5/7"]], [[1, 2.0, "5/7"]]]):
+    for i, entries in enumerate([[[1.9, 2, "5/7"]], [[1, 2.0, "5/7"]], [["1_0", 2, "5/7"]]]):
         path = tmp_path / f"od{i}.json"
         path.write_text(json.dumps(entries))
         argvs.append(["assemble", "--pair-model", pair_model_path, "--data", str(data_path),
                       "--offdiag", str(path)])
-    for i, lattice in enumerate([{"Z_pairing": [0, 1.5]}, {"F": [0, True]}]):
+    for i, lattice in enumerate([{"Z_pairing": [0, 1.5]}, {"F": [0, True]}, {"F": [0, "1_0"]}]):
         doc = json.loads(json.dumps(PAIR_MODEL_B))
         doc["lattice"].update(lattice)
         path = tmp_path / f"pm{i}.json"

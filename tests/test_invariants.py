@@ -1,14 +1,17 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbcorr import DomainError, ImproperPairError, LabelError, LocalModel, ProperInsertionPair
+from wbcorr.cli import main
 from wbcorr.invariants import h_invariant, h_prime_oracle, localization_sum, relative_invariant
 from wbcorr.ranking import c_bounds, c_to_Rd, lambda_preimages, rk_tilde, sector_dim, window
 from wbcorr.rationals import Rational as Q
-from wbcorr.rationals import floor, gen_factorial
+from wbcorr.rationals import floor, format_rational, gen_factorial
 
 from conftest import random_local_model
 
@@ -129,6 +132,43 @@ def test_closed_form_identity_population():
                     assert model.r * h * fact == R**d
                     assert h * fact == h_prime_oracle(model, R, d)
                     assert h_prime_oracle(model, R, d) == Q(1, model.r) * R**d
+
+
+def _fraction_h_prime(model, R, d):
+    """The fixed-point route of ``h_prime_oracle``, one Fraction per factor."""
+    if d == 0:
+        return Fraction(1, model.r)
+    js = [j for j, _ in lambda_preimages(model, R)]
+    alpha_prod, cmax_prod = 1, Fraction(1)
+    for j in js:
+        alpha_prod *= model.alpha[j - 1]
+        cmax_prod *= Fraction(model.beta[j - 1], model.r) + floor(model.tau(R, j))
+    return Fraction(1, model.r * alpha_prod) * (1 / R) ** (len(js) - d) * cmax_prod
+
+
+def test_integer_routes_on_deep_labels(capsys, tmp_path):
+    # the integer oracle and c_max_factorial against Fraction-valued routes,
+    # on labels far past window 1
+    rng = random.Random(2718)
+    queries, labels = [], []
+    for _ in range(80):
+        model = random_local_model(rng)
+        for c in (rng.randint(0, 60), rng.randint(61, 600)):
+            R, d = c_to_Rd(model, c)
+            h_prime = h_prime_oracle(model, R, d)
+            assert h_prime == Q(1, model.r) * R**d
+            assert h_prime == _fraction_h_prime(model, R, d)
+            queries.append({"model": model.to_json(), "c": c, "i": 1, "j": 1})
+            labels.append((model, R, d))
+    assert sum(d >= 1 for _, _, d in labels) >= 20
+    assert max(R for _, R, _ in labels) > 10
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps(queries))
+    assert main(["invariant", "--data", str(qpath), "--format", "json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["results"]
+    for entry, (model, R, d) in zip(entries, labels, strict=True):
+        assert (entry["R"], entry["d"]) == (format_rational(R), d)
+        assert entry["c_max_factorial"] == format_rational(_factorial_product(model, R))
 
 
 def test_contact_bound_ratio_on_preimages():
