@@ -23,7 +23,7 @@ from .rationals import (
     _parse_int,
     floor_frac,
     format_rational,
-    gen_factorial_ints,
+    gen_factorial,
     parse_rational,
 )
 
@@ -193,13 +193,14 @@ def _invariant_entry(model, c, i, j, d):
     h_prime = inv.h_prime_oracle(model, R, d)
     rfloor, rfrac = floor_frac(R)
     # c_max_factorial: prod_u gfact(c_max_u, c_max_u - c_min_u), with the bounds
-    # C_u / r from the contact-bound kernel and c_min_u = beta_u / r
+    # C_u / r from the contact-bound kernel and c_min_u = beta_u / r; the
+    # factorials are multiplied as integers and reduced once
     r, num, den = model.r, 1, 1
     bounds = rank_ops._contact_numerators(model, *rank_ops.tau_numerators(model, R))
     for b, C in zip(model.beta, bounds):
-        f_num, f_den = gen_factorial_ints(C, r, (C - b) // r)
-        num *= f_num
-        den *= f_den
+        fact = gen_factorial(Rational(C, r), (C - b) // r)
+        num *= fact.numerator
+        den *= fact.denominator
     return {
         "c": c,
         "i": i,

@@ -114,8 +114,7 @@ def gen_factorial_ints(p: int, q: int, m: int) -> tuple[int, int]:
     The factors ``p/q - k`` share the denominator ``q``, so the product is
     ``p (p - q) ... (p - m q)`` over ``q^(m+1)``.  Needs plain ints with
     ``q >= 1`` and ``m >= -1``.  Package-internal integer kernel, shared by
-    ``gen_factorial``, ``invariants.h_invariant`` and the CLI's
-    ``c_max_factorial``; not exported.
+    ``gen_factorial`` and ``invariants.h_invariant``; not exported.
     """
     if m < -1:
         raise ValueError(f"gen_factorial needs an integer m >= -1, got {m!r}")
@@ -131,7 +130,7 @@ def gen_factorial(c, m: int):
     With ``c = p/q`` it is computed as the integer product
     ``p (p - q) ... (p - m q)`` over ``q^(m+1)``, reduced once.
     """
-    if m != int(m) or m < -1:
+    if m != int(m):
         raise ValueError(f"gen_factorial needs an integer m >= -1, got {m!r}")
     c = Rational(c)
     return Rational(*gen_factorial_ints(c.numerator, c.denominator, int(m)))

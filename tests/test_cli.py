@@ -199,7 +199,7 @@ def test_invariant_batch_computes_the_tau_numerators_once_per_route(
     capsys, tmp_path, model_path, monkeypatch
 ):
     # h, h_prime and c_max_factorial each read the tau numerators once, and
-    # c_max_factorial is one integer product, not a product of gen_factorial
+    # c_max_factorial takes one gen_factorial per contact bound
     queries = [
         {"c": 0, "i": 1, "j": 1},
         {"c": 3, "i": 1, "j": 2},
@@ -232,7 +232,7 @@ def test_invariant_batch_computes_the_tau_numerators_once_per_route(
     relative = [e for e in json.loads(out)["results"] if e["kind"] == "relative"]
     assert [e["d"] for e in relative] == [0, 0, 0, 2, 1]
     assert calls["tau_numerators"] <= 3 * len(relative)
-    assert calls["gen_factorial"] == 0
+    assert calls["gen_factorial"] == 3 * len(M2_DOC["beta"]) + 3 + 2
 
 
 def _reference_entry(model, c, i, j):
