@@ -72,9 +72,29 @@ def _load_data_list(path) -> list[RelativeData]:
     return [RelativeData.from_json(d) for d in doc]
 
 
-def _emit(args, doc, tsv_lines):
+def _indent2_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+#: Encodes one flat batch entry with its keys sorted and one per line at the
+#: depth of ``{"results": [...]}``.  Without ``indent``, ``json`` runs its C
+#: encoder; with ``indent=2`` it runs the pure-Python one.
+_ENTRY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _batch_json(doc) -> str:
+    """``_indent2_json(doc)`` for ``doc = {"results": entries}``, each entry a
+    non-empty dict of strings and ints."""
+    entries = [_ENTRY_ENCODER.encode(e)[1:-1] for e in doc["results"]]
+    if not entries:
+        return '{\n  "results": []\n}'
+    body = "\n    },\n    {\n      ".join(entries)
+    return '{\n  "results": [\n    {\n      ' + body + "\n    }\n  ]\n}"
+
+
+def _emit(args, doc, tsv_lines, to_json=_indent2_json):
     if args.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = to_json(doc) + "\n"
     else:
         text = "\n".join(tsv_lines) + "\n"
     if args.out:
@@ -188,17 +208,21 @@ def _cmd_dims(args):
     _emit(args, doc, ["\t".join(r) for r in rows])
 
 
-def _invariant_entry(model, c, i, j, d):
-    R, d, h, value = inv._ranked_invariant(model, inv.ProperInsertionPair(c=c, i=i, j=j, d=d))
-    h_prime = inv.h_prime_oracle(model, R, d)
+def _invariant_entry(model, c, i, j, d, factorials):
+    """One relative entry; ``factorials`` maps ``(beta_u, C_u)`` to the
+    reduced ``gen_factorial(C_u / r, m_u)`` of ``model``, filled as needed."""
+    label, d, h, value = inv._ranked_invariant(model, inv.ProperInsertionPair(c=c, i=i, j=j, d=d))
+    R, taus, tau_den, _ = label
+    h_prime = inv._h_prime_of_label(model, label, d)
     rfloor, rfrac = floor_frac(R)
     # c_max_factorial: prod_u gfact(c_max_u, c_max_u - c_min_u), with the bounds
     # C_u / r from the contact-bound kernel and c_min_u = beta_u / r; the
     # factorials are multiplied as integers and reduced once
     r, num, den = model.r, 1, 1
-    bounds = rank_ops._contact_numerators(model, *rank_ops.tau_numerators(model, R))
-    for b, C in zip(model.beta, bounds):
-        fact = gen_factorial(Rational(C, r), (C - b) // r)
+    for b, C in zip(model.beta, rank_ops._contact_numerators(model, taus, tau_den)):
+        fact = factorials.get((b, C))
+        if fact is None:
+            fact = factorials[b, C] = gen_factorial(Rational(C, r), (C - b) // r)
         num *= fact.numerator
         den *= fact.denominator
     return {
@@ -224,6 +248,7 @@ def _cmd_invariant(args):
             raise SchemaError("batch queries must be a JSON array")
         rows = [["index", "kind", "value", "detail"]]
         entries = []
+        factorials = {}  # of the --model model, for this batch only
         for idx, q in enumerate(queries):
             if not isinstance(q, dict):
                 raise SchemaError(f"batch query {idx} must be a JSON object, got {q!r}")
@@ -247,16 +272,16 @@ def _cmd_invariant(args):
                 qmodel = LocalModel.from_json(q["model"]) if "model" in q else model
                 if qmodel is None:
                     raise DomainError("query needs an inline model or --model")
-                entry = _invariant_entry(qmodel, c, i, j, d)
+                entry = _invariant_entry(qmodel, c, i, j, d, factorials if qmodel is model else {})
                 entry["kind"] = "relative"
                 detail = f"c={entry['c']},R={entry['R']},d={entry['d']}"
             entries.append(entry)
             rows.append([str(idx), entry["kind"], entry["value"], detail])
-        _emit(args, {"results": entries}, ["\t".join(r) for r in rows])
+        _emit(args, {"results": entries}, ["\t".join(r) for r in rows], _batch_json)
         return
     if args.c is None or args.i is None or args.j is None:
         raise DomainError("invariant needs --c, --i, --j (or --data for batch mode)")
-    entry = _invariant_entry(model or _load_model(args), args.c, args.i, args.j, args.d)
+    entry = _invariant_entry(model or _load_model(args), args.c, args.i, args.j, args.d, {})
     _emit(args, entry, [entry["value"]])
 
 

@@ -1,4 +1,4 @@
-"""Data correspondence, partial order, and the triangular transfer system.
+"""Data correspondence, degeneration order, and the triangular transfer system.
 
 The pieces, all exact and deterministic:
 
@@ -7,11 +7,17 @@ The pieces, all exact and deterministic:
   data downstairs with base-supported descendent markings.
 * ``glue``: the formal gluing evaluator applying a bubble datum (a list of
   ``RPlusComponent``) to a relative datum along matched divisor markings.
-* ``n_minimal_companion``: the unique minimal bubble datum gluing a datum
-  to itself.
-* ``precedes``: the degeneration partial order, decided by a bounded
-  complete search over bubble witnesses.
-* ``comparison_matrix``: the strict order on a list of data, each datum
+* ``n_minimal_companion``: the unique minimal bubble datum of a datum, one
+  fiber block per divisor marking.  It glues the datum to itself when
+  ``FZ`` is zero; otherwise to a copy whose class is shifted by its total
+  contact times ``FZ``.
+* ``precedes``: the one-step degeneration relation (some bubble datum
+  glues one datum into the other), decided by a bounded complete search
+  over bubble witnesses.  It is not a partial order: it is not transitive
+  on some models, and not reflexive when ``FZ`` is nonzero.  The linear
+  extension and the transfer matrix need only its strict part to have no
+  cycle, which ``order_from_matrix`` checks.
+* ``comparison_matrix``: the strict relation on a list of data, each datum
   validated once and each ordered pair decided at most once, without
   building a witness.
 * ``linear_extension`` / ``assemble_L`` / ``solve_lower_triangular``: the
@@ -287,9 +293,13 @@ def _validate_rplus_component(model: FormalPairModel, comp: RPlusComponent):
 
 
 def n_minimal_companion(rd: RelativeData) -> NMinimalData:
-    """The minimal bubble datum gluing ``rd`` to itself: one component per
-    divisor marking, markings duplicated dually at the two ends.  Empty when
-    the datum has no divisor markings."""
+    """The minimal bubble datum of ``rd``: one component per divisor
+    marking, markings duplicated dually at the two ends.  Empty when the
+    datum has no divisor markings.
+
+    ``companion_rplus`` gives each component the class ``contact * FZ``, so
+    it glues ``rd`` to itself only when ``FZ`` is zero; otherwise the glued
+    copy's class is shifted by the total contact times ``FZ``."""
     return NMinimalData(tuple(rd.relative_markings()))
 
 
@@ -394,7 +404,7 @@ def glue(model: FormalPairModel, rd: RelativeData, rplus) -> RelativeData:
 
 
 # ---------------------------------------------------------------------------
-# the partial order
+# the degeneration order
 
 
 def _set_partitions(items):
@@ -766,7 +776,13 @@ def precedes(
     *,
     max_components: int = DEFAULT_MAX_COMPONENTS,
 ) -> bool:
-    """Whether ``rd1`` precedes ``rd2`` in the degeneration partial order."""
+    """Whether some bubble datum glues ``rd1`` into ``rd2``.
+
+    This one-step degeneration relation is not a partial order: it is not
+    transitive on some models, where fiber rigidity forbids the composite
+    witness, and ``precedes(model, rd, rd)`` fails for a datum with divisor
+    markings when ``FZ`` is nonzero (see ``n_minimal_companion``).
+    """
     return (
         find_precedence_witness(model, rd1, rd2, max_components=max_components) is not None
     )

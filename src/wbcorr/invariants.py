@@ -12,11 +12,14 @@ and weight factors over the label's preimage coordinates), and
 ``localization_sum`` provides the underlying exact fixed-point identity.
 The full basis-paired invariant is ``r * delta_{ij} * H``; each pair is
 ranked, checked and evaluated once, and ``relative_invariant`` and the
-CLI's invariant entries read its ``(R, d, H, value)`` from that one pass.
+CLI's invariant entries read its ``(label, d, H, value)`` from that one pass.
 
-``h_invariant`` and ``h_prime_oracle`` each check the label once and read
-the tau numerators that check computed; both accumulate numerator and
-denominator as integers and build one rational for the value returned.
+``h_invariant`` and ``h_prime_oracle`` each check the label once, then run
+a private kernel on the checked label, which reads the tau numerators the
+check computed; the CLI hands the label of ``_ranked_invariant`` to the
+oracle's kernel, so an entry's label is checked once for both routes.  Both
+kernels accumulate numerator and denominator as integers and build one
+rational for the value returned.
 """
 
 from __future__ import annotations
@@ -60,7 +63,12 @@ def h_invariant(model: LocalModel, R, d: int):
     ``c_max_u = (beta_u + m_u r) / r``, numerator and denominator are
     accumulated as integers and reduced once.
     """
-    R, taus, tau_den, _ = _require_ranked_label(model, R, d)
+    return _h_of_label(model, _require_ranked_label(model, R, d), d)
+
+
+def _h_of_label(model: LocalModel, label, d: int):
+    """``h_invariant`` at a label ``_require_ranked_label`` has checked."""
+    R, taus, tau_den, _ = label
     r = model.r
     num, den = R.numerator**d, r * R.denominator**d
     for u, (b, t) in enumerate(zip(model.beta, taus), start=1):
@@ -84,7 +92,12 @@ def h_prime_oracle(model: LocalModel, R, d: int):
     fixed-point sum to 1.  With ``R = p/q`` and ``c_max_u = C_u / r``, the
     value is ``q^(|J|-d) prod_J C_u`` over ``r^(|J|+1) p^(|J|-d) prod_J alpha_u``.
     """
-    R, taus, tau_den, pre = _require_ranked_label(model, R, d)
+    return _h_prime_of_label(model, _require_ranked_label(model, R, d), d)
+
+
+def _h_prime_of_label(model: LocalModel, label, d: int):
+    """``h_prime_oracle`` at a label ``_require_ranked_label`` has checked."""
+    R, taus, tau_den, pre = label
     r = model.r
     if d == 0:
         return Rational(1, r)
@@ -126,7 +139,12 @@ def localization_sum(lambdas, d: int):
 
 
 def _ranked_invariant(model: LocalModel, pair: ProperInsertionPair):
-    """``(R, d, H(R, d), value)`` of a proper pair; ``relative_invariant`` returns ``value``."""
+    """``(label, d, H(R, d), value)`` of a proper pair, its label checked once.
+
+    ``label`` is the ``(R, taus, den, preimages)`` of
+    ``_require_ranked_label``, for the caller's other routes at the same
+    label; ``relative_invariant`` returns ``value``.
+    """
     R, d = c_to_Rd(model, pair.c)
     if pair.d is not None and pair.d != d:
         raise ImproperPairError(
@@ -134,8 +152,9 @@ def _ranked_invariant(model: LocalModel, pair: ProperInsertionPair):
         )
     if pair.i < 1 or pair.j < 1:
         raise ImproperPairError("basis indices are 1-based positive integers")
-    h = h_invariant(model, R, d)
-    return R, d, h, model.r * h if pair.i == pair.j else Rational(0)
+    label = _require_ranked_label(model, R, d)
+    h = _h_of_label(model, label, d)
+    return label, d, h, model.r * h if pair.i == pair.j else Rational(0)
 
 
 def relative_invariant(model: LocalModel, pair: ProperInsertionPair):

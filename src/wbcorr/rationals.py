@@ -93,11 +93,12 @@ def floor_frac(q):
 
     Returns ``(n, f)`` with ``n`` the greatest integer <= q and
     ``f = q - n`` in ``[0, 1)``; the floor convention (not truncation)
-    matters for negative arguments, e.g. ``-1/2 -> (-1, 1/2)``.
+    matters for negative arguments, e.g. ``-1/2 -> (-1, 1/2)``.  Both come
+    from one integer ``divmod``, whose quotient floors.
     """
     q = Rational(q)
-    n = int(math.floor(q))
-    return n, q - n
+    n, rem = divmod(q.numerator, q.denominator)
+    return n, Rational(rem, q.denominator)
 
 
 def floor(q) -> int:

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import random
 import sys
+import tempfile
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wbcorr import (
     FormalPairModel,
@@ -177,12 +183,13 @@ def test_invariant_batch_evaluates_each_query_once(capsys, tmp_path, model_path,
 
         return wrapper
 
-    # counted where each name is looked up: invariants imports them by name
+    # counted where each name is looked up: invariants imports them by name;
+    # h and the oracle at the kernels that run on the entry's checked label
     for module, name in [
         (rank_ops, "c_to_Rd"),
         (inv, "c_to_Rd"),
-        (inv, "h_invariant"),
-        (inv, "h_prime_oracle"),
+        (inv, "_h_of_label"),
+        (inv, "_h_prime_of_label"),
     ]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     code, out, _ = run(
@@ -192,20 +199,24 @@ def test_invariant_batch_evaluates_each_query_once(capsys, tmp_path, model_path,
     assert [e["d"] for e in json.loads(out)["results"]] == [0, 0, 0, 1]
     n = len(queries)
     # the oracle is a second route, so it runs once per query as well
-    assert calls == {"c_to_Rd": n, "h_invariant": n, "h_prime_oracle": n}
+    assert calls == {"c_to_Rd": n, "_h_of_label": n, "_h_prime_of_label": n}
 
 
 def test_invariant_batch_computes_the_tau_numerators_once_per_route(
     capsys, tmp_path, model_path, monkeypatch
 ):
-    # h, h_prime and c_max_factorial each read the tau numerators once, and
-    # c_max_factorial takes one gen_factorial per contact bound
+    # one label check, so one tau_numerators call, per relative entry; and
+    # one gen_factorial per distinct (beta_u, C_u) of the --model model in
+    # the batch, and per distinct pair within each inline-model query
     queries = [
         {"c": 0, "i": 1, "j": 1},
         {"c": 3, "i": 1, "j": 2},
+        {"c": 0, "i": 2, "j": 2},  # the bounds of the first query again
         {"c": 600, "i": 2, "j": 2},
         {"model": {"r": 3, "beta": [1, 2, 3], "alpha": [2, 1, 3]}, "c": 44, "i": 1, "j": 1},
+        # equal beta_u and bounds in both coordinates
         {"model": {"r": 1, "beta": [1, 1], "alpha": [1, 1]}, "c": 0, "i": 1, "j": 1, "d": 1},
+        {"model": M2_DOC, "c": 3, "i": 1, "j": 1},  # the --model model's doc, inline
         {"lambdas": ["1", "2", "3"], "d": 2},
     ]
     qpath = tmp_path / "q.json"
@@ -220,7 +231,11 @@ def test_invariant_batch_computes_the_tau_numerators_once_per_route(
         return wrapper
 
     modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "wbcorr"]
-    for name, fn in [("tau_numerators", rank_ops.tau_numerators), ("gen_factorial", gen_factorial)]:
+    for name, fn in [
+        ("tau_numerators", rank_ops.tau_numerators),
+        ("_fiber_label", rank_ops._fiber_label),
+        ("gen_factorial", gen_factorial),
+    ]:
         for module in modules:
             for attr, value in list(vars(module).items()):
                 if value is fn:
@@ -228,11 +243,24 @@ def test_invariant_batch_computes_the_tau_numerators_once_per_route(
     code, out, _ = run(
         capsys, "invariant", "--model", model_path, "--data", str(qpath), "--format", "json"
     )
+    counts = dict(calls)
     assert code == 0
     relative = [e for e in json.loads(out)["results"] if e["kind"] == "relative"]
-    assert [e["d"] for e in relative] == [0, 0, 0, 2, 1]
-    assert calls["tau_numerators"] <= 3 * len(relative)
-    assert calls["gen_factorial"] == 3 * len(M2_DOC["beta"]) + 3 + 2
+    assert [e["d"] for e in relative] == [0, 0, 0, 0, 2, 1, 0]
+    assert counts["tau_numerators"] == counts["_fiber_label"] == len(relative)
+
+    batch_keys, expected, bounds = set(), 0, 0
+    for q, e in zip(queries, relative):
+        local = LocalModel.from_json(q.get("model", M2_DOC))
+        _, c_max = rank_ops.c_bounds(local, Fraction(e["R"]))
+        keys = {(b, hi * local.r) for b, hi in zip(local.beta, c_max)}
+        bounds += local.n
+        if "model" in q:
+            expected += len(keys)
+        else:
+            batch_keys |= keys
+    expected += len(batch_keys)
+    assert counts["gen_factorial"] == expected < bounds
 
 
 def _reference_entry(model, c, i, j):
@@ -278,6 +306,63 @@ def test_invariant_batch_matches_the_public_calls_on_random_models(capsys, tmp_p
     code, out, err = run(capsys, "invariant", "--data", str(qpath), "--format", "json")
     assert code == 0 and err == ""
     assert json.loads(out)["results"] == expected
+
+
+localization_rows = st.builds(
+    lambda lams, d: {"lambdas": [str(x) for x in lams], "d": d},
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4, unique=True),
+    st.integers(0, 4),
+)
+
+
+@st.composite
+def relative_rows(draw):
+    row = {"c": draw(st.integers(0, 80)), "i": draw(st.integers(1, 3)), "j": draw(st.integers(1, 3))}
+    if draw(st.booleans()):
+        row["model"] = random_local_model(draw(st.randoms(use_true_random=False))).to_json()
+    return row
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    queries=st.lists(localization_rows | relative_rows(), max_size=6),
+    past_the_limit=st.booleans(),
+    to_file=st.booleans(),
+)
+@example(queries=[], past_the_limit=False, to_file=False)
+@example(queries=[{"lambdas": ["1", "2"], "d": 1}], past_the_limit=False, to_file=True)
+def test_invariant_batch_json_is_the_indent_2_dump(queries, past_the_limit, to_file):
+    # the batch document goes through the C encoder entry by entry; its
+    # bytes must be those of the indent-2 json.dumps of the same document
+    limit = sys.get_int_max_str_digits()
+    if past_the_limit:
+        # c_max_factorial, h and value of c = 400 on M2_DOC have over 700 digits
+        queries = queries + [{"c": 400, "i": 1, "j": 1}]
+    with tempfile.TemporaryDirectory() as tmp:
+        model, data, target = (Path(tmp) / name for name in ("m.json", "q.json", "out.json"))
+        model.write_text(json.dumps(M2_DOC))
+        data.write_text(json.dumps(queries))
+        argv = ["invariant", "--model", str(model), "--data", str(data), "--format", "json"]
+        if to_file:
+            argv += ["--out", str(target)]
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            if past_the_limit:
+                sys.set_int_max_str_digits(640)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0 and err.getvalue() == ""
+        text = target.read_text() if to_file else out.getvalue()
+        assert out.getvalue() == ("" if to_file else text)
+    entries = json.loads(text)["results"]
+    assert [e["kind"] for e in entries] == [
+        "localization" if "lambdas" in q else "relative" for q in queries
+    ]
+    if past_the_limit:
+        assert len(entries[-1]["c_max_factorial"]) > 640
+    assert text == json.dumps({"results": entries}, indent=2, sort_keys=True) + "\n"
 
 
 def test_invariant_batch_localization_detail_shows_the_parsed_d(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,21 @@ def test_floor_frac_roundtrip(q):
     n, f = floor_frac(q)
     assert n + f == q
     assert 0 <= f < 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rational_values
+    | st.integers(-(10**30), 10**30).map(Rational)
+    | st.builds(Rational, st.integers(-(10**60), 10**60), st.integers(1, 10**40))
+)
+@example(Rational(-1, 2))
+@example(Rational(-4))
+def test_floor_frac_matches_the_math_floor_route(q):
+    # negative, integral and large arguments against math.floor and one subtraction
+    n = math.floor(q)
+    assert floor_frac(q) == (n, q - n)
+    assert type(floor_frac(q)[0]) is int and type(floor_frac(q)[1]) is Fraction
 
 
 @settings(max_examples=80, deadline=None)
