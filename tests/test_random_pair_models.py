@@ -12,7 +12,7 @@ from the datum when ``FZ`` is nonzero, and where ``a`` precedes ``b`` and
 ``b`` precedes ``c`` but not ``a`` precedes ``c``, the brute-force oracle
 of ``test_witness_oracle``, which shares no code with the search, must find
 no witness either.  On tiny data, ``precedes`` must agree with that oracle
-on every pair.
+on every pair.  The psi maps must round trip on the same models.
 """
 
 from itertools import product
@@ -141,7 +141,7 @@ def absolute_pool(model):
 def test_psi_round_trips_on_drawn_models(doc):
     # over the FZ-free twin: psi_inverse undoes psi_forward on enumerated
     # relative data, and psi_forward undoes psi_inverse on enumerated
-    # absolute data in its image (all of them in codimension >= 2)
+    # absolute data in its image
     twin = FormalPairModel.from_json(fz_free(doc))
     data = enumerate_relative_data(twin, windows=(0, 1), genus_values=(0, 1), components=2, limit=40)
     assert data
@@ -164,7 +164,8 @@ def test_psi_round_trips_on_drawn_models(doc):
         assert psi_forward(twin, rd) == ad
     if any(doc["lattice"]["FZ"]):
         # codimension 1 with a nonzero FZ: pushforward and pairing leave the
-        # FZ coordinate free, so no class is recovered (open, see CHANGES.md)
+        # FZ coordinate free, so no class is recovered; the loader accepts
+        # such models all the same
         model = FormalPairModel.from_json(doc)
         assert model.codim == 1
         for rd in data_pool(doc)[:10]:

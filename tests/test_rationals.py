@@ -44,8 +44,9 @@ def test_floor_frac_roundtrip(q):
 def test_floor_frac_matches_the_math_floor_route(q):
     # negative, integral and large arguments against math.floor and one subtraction
     n = math.floor(q)
-    assert floor_frac(q) == (n, q - n)
-    assert type(floor_frac(q)[0]) is int and type(floor_frac(q)[1]) is Fraction
+    whole, part = floor_frac(q)
+    assert (whole, part) == (n, q - n)
+    assert type(whole) is int and type(part) is Fraction
 
 
 @settings(max_examples=80, deadline=None)
