@@ -2,19 +2,19 @@
 
 The pieces, all exact and deterministic:
 
-* ``psi_forward`` / ``psi_inverse``: the bijection (injection in
-  codimension 1) between relative data of the blown-up pair and absolute
-  data downstairs with base-supported descendent markings.
+* ``psi_forward`` / ``psi_inverse``: the correspondence between relative
+  data of the blown-up pair and absolute data downstairs with
+  base-supported descendent markings: an injection in codimension 1, and
+  otherwise a bijection onto the data whose labels carry a phase of a
+  divisor sector over their base sector.
 * ``glue``: the formal gluing evaluator applying a bubble datum (a list of
   ``RPlusComponent``) to a relative datum along matched divisor markings.
 * ``n_minimal_companion``: the unique minimal bubble datum of a datum, one
-  fiber block per divisor marking.  It glues the datum to itself when
-  ``FZ`` is zero; otherwise to a copy whose class is shifted by its total
-  contact times ``FZ``.
+  fiber block per divisor marking; it glues the datum to itself.
 * ``precedes``: the one-step degeneration relation (some bubble datum
   glues one datum into the other), decided by a bounded complete search
-  over bubble witnesses.  It is not a partial order: it is not transitive
-  on some models, and not reflexive when ``FZ`` is nonzero.  The linear
+  over bubble witnesses.  It is reflexive and antisymmetric, but not a
+  partial order: it is not transitive on some models.  The linear
   extension and the transfer matrix need only its strict part to have no
   cycle, which ``order_from_matrix`` checks.
 * ``comparison_matrix``: the strict relation on a list of data, each datum
@@ -41,7 +41,7 @@ Three standing constraints make the search sound:
   anti-effective horizontal class);
 * fiber rigidity: a genus-zero component with no ambient markings and
   exactly one marking at each divisor must have matching sector and
-  contact at the two ends and carry the fiber class ``u * FZ``.  Such
+  contact at the two ends and carry the zero class.  Such
   components are exactly the pre-minimal ones; a pre-minimal bubble datum
   glues without effect, and condition (P2) of the order demands it be
   minimal (dual insertions) whenever it is the whole witness.
@@ -89,6 +89,7 @@ model; one that fails is never recorded.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -174,9 +175,12 @@ def psi_inverse(model: FormalPairModel, ad: AbsoluteData) -> RelativeData:
     ``(R, d)`` in the local model over ``t`` and hence a divisor marking on
     the sector over ``t`` with phase ``{R}``.  The class is the unique
     lattice vector with the given pushforward whose divisor pairing is the
-    recovered contact-order sum.
+    recovered contact-order sum.  Outside codimension 1, ``psi_forward`` is
+    a bijection onto the data whose labels carry a phase of a divisor
+    sector over their base sector, and this is its inverse there.
 
-    Raises OutOfImageError when no such sector exists or when the class
+    Raises OutOfImageError when no divisor sector over ``t`` carries the
+    phase ``{R}`` (a model may carry only some phases), or when the class
     system is inconsistent (the codimension-1 obstruction).
     """
     model.validate_absolute_data(ad)
@@ -229,6 +233,12 @@ class RPlusComponent:
         object.__setattr__(self, "zero", tuple(sorted(self.zero, key=lambda m: m.sort_key())))
 
 
+@functools.cache
+def _zero_class(rank: int) -> tuple:
+    """The zero class of a rank-``rank`` lattice, as exact zeros."""
+    return (Rational(0),) * rank
+
+
 def _is_fiber_pattern(comp: RPlusComponent) -> bool:
     return (
         comp.genus == 0
@@ -239,16 +249,14 @@ def _is_fiber_pattern(comp: RPlusComponent) -> bool:
 
 
 def is_pre_minimal(model: FormalPairModel, comp: RPlusComponent) -> bool:
-    """Fiber-pattern component with matched ends and fiber class."""
+    """Fiber-pattern component with matched ends and the zero class."""
     if not _is_fiber_pattern(comp):
         return False
     inf, zero = comp.infinity[0], comp.zero[0]
-    u = inf.contact
-    fiber = tuple(u * x for x in model.fz_class)
     return (
         zero.sector == model.bar_z(inf.sector)
-        and zero.contact == u
-        and comp.cls == fiber
+        and zero.contact == inf.contact
+        and not any(comp.cls)
     )
 
 
@@ -295,28 +303,18 @@ def _validate_rplus_component(model: FormalPairModel, comp: RPlusComponent):
 def n_minimal_companion(rd: RelativeData) -> NMinimalData:
     """The minimal bubble datum of ``rd``: one component per divisor
     marking, markings duplicated dually at the two ends.  Empty when the
-    datum has no divisor markings.
-
-    ``companion_rplus`` gives each component the class ``contact * FZ``, so
-    it glues ``rd`` to itself only when ``FZ`` is zero; otherwise the glued
-    copy's class is shifted by the total contact times ``FZ``."""
+    datum has no divisor markings.  Realized by ``companion_rplus``, it
+    glues ``rd`` to itself."""
     return NMinimalData(tuple(rd.relative_markings()))
 
 
 def companion_rplus(model: FormalPairModel, companion: NMinimalData) -> list[RPlusComponent]:
     """Realize a minimal bubble datum as gluable components."""
-    comps = []
-    for m in companion.components:
-        fiber = tuple(m.contact * x for x in model.fz_class)
-        comps.append(
-            RPlusComponent(
-                genus=0,
-                cls=fiber,
-                infinity=(model.dual_marking(m),),
-                zero=(m,),
-            )
-        )
-    return comps
+    zero = _zero_class(model.rank)
+    return [
+        RPlusComponent(genus=0, cls=zero, infinity=(model.dual_marking(m),), zero=(m,))
+        for m in companion.components
+    ]
 
 
 class _UnionFind:
@@ -353,7 +351,7 @@ def _glue_tagged(model, rd_comps, witness, hosts):
     for members in groups.values():
         n_edges = sum(len(hosts[k]) for kind, k in members if kind == "b")
         genus = n_edges - len(members) + 1  # first Betti number of the matching graph
-        cls = tuple(Rational(0) for _ in range(model.rank))
+        cls = _zero_class(model.rank)
         absolute = []
         relative = []
         for kind, idx in members:
@@ -375,8 +373,9 @@ def glue(model: FormalPairModel, rd: RelativeData, rplus) -> RelativeData:
     Every divisor marking of ``rd`` must be matched, dually, by exactly one
     infinity marking across ``rplus``; the glued datum's divisor markings
     are the bubble's zero markings.  When equal markings occur on several
-    host components the matching is resolved in canonical order (this can
-    only matter for the graph genus of exotic multi-edge gluings).
+    host components the matching is resolved in canonical order: each
+    infinity marking, in ``rplus`` order, takes the first host left, so the
+    order of ``rplus`` can decide which host a block attaches to.
     """
     model.validate_relative_data(rd)
     rplus = list(rplus)
@@ -488,7 +487,7 @@ def _cell_record(model, P, c2comp) -> _CellRecord:
     tag_bit = [1 << pos for pos, _ in tags]
     everyone = (1 << len(P)) - 1
     n_zeros = len(zeros)
-    fiber_fits = None  # whether the class gap is the fiber class of all tags
+    gap_is_zero = None  # whether the hosts already carry the target class
 
     with_b = pre_minimal = minimal = None
     for parts in _set_partitions(list(range(len(tags)))):
@@ -538,10 +537,9 @@ def _cell_record(model, P, c2comp) -> _CellRecord:
                 and (dual or pre_minimal is None)
                 and not (others or num_mm or resources)
             ):
-                if fiber_fits is None:
-                    total = sum((m.contact for _, m in tags), Rational(0))
-                    fiber_fits = _class_gap(P, c2comp) == tuple(total * x for x in model.fz_class)
-                if fiber_fits:
+                if gap_is_zero is None:
+                    gap_is_zero = not any(_class_gap(P, c2comp))
+                if gap_is_zero:
                     if pre_minimal is None:
                         pre_minimal = _Arrangement(parts, assign)
                     if dual:
@@ -558,7 +556,7 @@ def _cell_blocks(model, comps1, p_indices, c2comp, arrangement, free):
     infinity markings of ``components[k]`` attach to.  With ``free`` the
     arrangement is a free one of ``_cell_record``, and classes, genera and
     extra ambient markings are spread over its blocks; otherwise every block
-    is pre-minimal and carries its fiber class."""
+    is pre-minimal and carries the zero class."""
     P = [comps1[i] for i in p_indices]
     tags = [(p_indices[pos], m) for pos, m in _host_tags(P)]
     parts = [[tags[t] for t in part] for part in arrangement.parts]
@@ -567,10 +565,10 @@ def _cell_blocks(model, comps1, p_indices, c2comp, arrangement, free):
     block_zeros = [[] for _ in parts]
     for z, k in zip(c2comp.relative, arrangement.assign):
         block_zeros[k].append(z)
+    zero = _zero_class(model.rank)
     if not free:
         return [
-            RPlusComponent(0, [part[0][1].contact * x for x in model.fz_class], (), inf, zeros)
-            for part, inf, zeros in zip(parts, infinity, block_zeros)
+            RPlusComponent(0, zero, (), inf, zeros) for inf, zeros in zip(infinity, block_zeros)
         ], hosts
     q = len(parts)
     b1 = len(tags) - (len(P) + q) + 1
@@ -614,7 +612,7 @@ def _cell_blocks(model, comps1, p_indices, c2comp, arrangement, free):
             )
             classes.append([flux * x for x in model.unit_pairing])
         else:
-            classes.append([parts[k][0][1].contact * x for x in model.fz_class])
+            classes.append(zero)
     remainder = [t - sum(col) for t, col in zip(_class_gap(P, c2comp), zip(*classes))]
     classes[sink] = [c + r for c, r in zip(classes[sink], remainder)]
     return [
@@ -778,10 +776,10 @@ def precedes(
 ) -> bool:
     """Whether some bubble datum glues ``rd1`` into ``rd2``.
 
-    This one-step degeneration relation is not a partial order: it is not
+    This one-step degeneration relation is reflexive (through the minimal
+    companion) and antisymmetric, but not a partial order: it is not
     transitive on some models, where fiber rigidity forbids the composite
-    witness, and ``precedes(model, rd, rd)`` fails for a datum with divisor
-    markings when ``FZ`` is nonzero (see ``n_minimal_companion``).
+    witness.
     """
     return (
         find_precedence_witness(model, rd1, rd2, max_components=max_components) is not None

@@ -26,7 +26,7 @@ class ImproperPairError(DomainError):
 
 
 class OutOfImageError(DomainError):
-    """An absolute datum with no relative preimage (codimension-1 models)."""
+    """An absolute datum with no relative preimage (uncarried phase, or codimension 1)."""
 
 
 class PosetCycleError(DomainError):

@@ -10,14 +10,13 @@ correspondence machinery needs and nothing more:
   sector, carrying an involution partner, a fractional contact phase and a
   local model presented with the distinguished generator of ``t``;
 * an ordered list of ambient insertion labels (pullback classes);
-* a rank-k class lattice with a fiber class ``F``, the pushed bubble fiber
-  class ``FZ``, an integer divisor pairing and an integer pushforward
-  matrix to a second lattice.
+* a rank-k class lattice with a fiber class ``F``, an integer divisor
+  pairing and an integer pushforward matrix to a second lattice, which
+  together fix each class from its pushforward and its pairing.
 
 Classes of data are exact rational vectors over the lattice basis.  The
-lattice records classes of the blown-up space; the bubble fiber class
-pushes to zero there, so coherent models declare ``FZ = 0`` (validated to
-pair to zero with the divisor and to push to zero).
+lattice records classes of the blown-up space, where the bubble fiber class
+pushes to zero: the loader reads it as ``FZ`` and requires it to be zero.
 
 Relative/absolute data are immutable multisets of connected components in
 canonical (sorted) form, so equality is structural and values are
@@ -435,7 +434,6 @@ class FormalPairModel:
     k_classes: tuple
     rank: int
     f_class: tuple
-    fz_class: tuple
     z_pairing: tuple
     kappa_push: tuple  # rows; maps rank-k vectors to rank-k2 vectors
 
@@ -490,6 +488,13 @@ class FormalPairModel:
         if extra:
             raise SchemaError(f"unknown lattice keys: {sorted(extra)}")
         rank = _int_field(lattice, "rank")
+        # the bubble fiber class pushes to zero in the blown-up space, whose
+        # classes the lattice records: it is read, checked and not kept
+        fz_class = _int_vector(lattice.get("FZ", []), "FZ")
+        if len(fz_class) != rank:
+            raise SchemaError(f"lattice vector FZ has length {len(fz_class)} != rank {rank}")
+        if any(fz_class):
+            raise SchemaError("the bubble fiber class FZ must be zero")
         k_classes = tuple(x for x in _list_field(doc, "k_classes"))
         if any(not isinstance(x, str) for x in k_classes):
             raise SchemaError("k_classes must be strings")
@@ -499,7 +504,6 @@ class FormalPairModel:
             k_classes=k_classes,
             rank=rank,
             f_class=_int_vector(lattice.get("F", []), "F"),
-            fz_class=_int_vector(lattice.get("FZ", []), "FZ"),
             z_pairing=_int_vector(lattice.get("Z_pairing", []), "Z_pairing"),
             kappa_push=tuple(
                 _int_vector(row, "kappa_push") for row in _list_field(lattice, "kappa_push")
@@ -552,29 +556,24 @@ class FormalPairModel:
             if len(phases) != len(set(phases)):
                 raise SchemaError(f"divisor sectors over {t!r} share a phase")
         # lattice shape
-        for name, vec in (("F", self.f_class), ("FZ", self.fz_class), ("Z_pairing", self.z_pairing)):
+        for name, vec in (("F", self.f_class), ("Z_pairing", self.z_pairing)):
             if len(vec) != self.rank:
                 raise SchemaError(f"lattice vector {name} has length {len(vec)} != rank {self.rank}")
         if not self.kappa_push or any(len(row) != self.rank for row in self.kappa_push):
             raise SchemaError("kappa_push must be a nonempty matrix with rank-length rows")
         if any(x != 0 for x in self.push(self.f_class)):
             raise SchemaError("the fiber class F must push forward to zero")
-        if any(x != 0 for x in self.push(self.fz_class)):
-            raise SchemaError("the bubble fiber class FZ must push forward to zero")
-        if self.zp(self.fz_class) != 0:
-            raise SchemaError("the bubble fiber class FZ must pair to zero with the divisor")
         if all(x == 0 for x in self.z_pairing):
             raise SchemaError("the divisor pairing must be nonzero")
-        if self.codim >= 2:
-            if self.zp(self.f_class) <= 0:
-                raise SchemaError("the fiber class must pair positively with the divisor")
-            # the homogeneous system is consistent; its solution is unique
-            # exactly when the stacked rows have full column rank
-            stacked = [*self.kappa_push, self.z_pairing]
-            try:
-                solve_exact(stacked, [0] * len(stacked))
-            except DomainError:
-                raise SchemaError("pushforward and divisor pairing do not determine classes uniquely") from None
+        if self.codim >= 2 and self.zp(self.f_class) <= 0:
+            raise SchemaError("the fiber class must pair positively with the divisor")
+        # the homogeneous system is consistent; its solution is unique
+        # exactly when the stacked rows have full column rank
+        stacked = [*self.kappa_push, self.z_pairing]
+        try:
+            solve_exact(stacked, [0] * len(stacked))
+        except DomainError:
+            raise SchemaError("pushforward and divisor pairing do not determine classes uniquely") from None
 
     def to_json(self) -> dict:
         return {
@@ -596,7 +595,7 @@ class FormalPairModel:
             "lattice": {
                 "rank": self.rank,
                 "F": [int(x) for x in self.f_class],
-                "FZ": [int(x) for x in self.fz_class],
+                "FZ": [0] * self.rank,
                 "Z_pairing": [int(x) for x in self.z_pairing],
                 "kappa_push": [[int(x) for x in row] for row in self.kappa_push],
             },

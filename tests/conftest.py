@@ -175,10 +175,11 @@ def random_pair_model(rng: random.Random) -> dict:
     local model's distinguished generator.  Their partners sit over ``tb``
     with the conjugate model and the negated phases, or, when the model is
     its own conjugate, over ``t`` itself (a phase equal to its negation is
-    then its own partner).  About two draws in three have codimension 1;
-    there the lattice may carry a third coordinate that only a nonzero
-    ``FZ`` reaches.  (In codimension >= 2 a valid model has ``FZ = 0``: it
-    would lie in the kernel of both the pushforward and the pairing.)
+    then its own partner).  About two draws in three have codimension 1.
+    The lattice is always rank 2 with ``FZ = 0``: the loader requires the
+    bubble fiber class to be zero and the pushforward and pairing to fix
+    each class, so a third coordinate that only a nonzero ``FZ`` reaches
+    would not load.
     """
     local = random_local_model(rng, max_n=1 if rng.random() < 0.5 else 3, max_r=4, max_alpha=3)
     phases = sorted({s.R for s in local.sector_index_set() if s.b == 1 % local.r})
@@ -207,11 +208,6 @@ def random_pair_model(rng: random.Random) -> dict:
             add(f"s{k}b", f"s{k}", "tb", dual, local.conjugate())
     z, f = rng.randint(1, 2), rng.randint(1, 2)
     lattice = {"rank": 2, "F": [0, f], "FZ": [0, 0], "Z_pairing": [0, z], "kappa_push": [[1, 0]]}
-    if local.n == 1 and rng.random() < 0.5:
-        w = rng.randint(1, 2)
-        lattice = {
-            "rank": 3, "F": [0, f, 0], "FZ": [0, 0, w], "Z_pairing": [0, z, 0], "kappa_push": [[1, 0, 0]]
-        }
     return {
         "s_sectors": [
             {

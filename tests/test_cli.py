@@ -28,7 +28,7 @@ from wbcorr import ranking as rank_ops
 from wbcorr.cli import VERB_OPERATIONS, main
 from wbcorr.rationals import floor_frac, format_rational, gen_factorial
 
-from conftest import PAIR_MODEL_B, PAIR_MODEL_C, random_local_model
+from conftest import PAIR_MODEL_B, PAIR_MODEL_C, PAIR_MODEL_CODIM1, random_local_model
 
 M2_DOC = {"r": 2, "beta": [1, 2], "alpha": [1, 1]}
 
@@ -798,6 +798,17 @@ def test_exit_codes(capsys, model_path, tmp_path, pair_model_path):
         path = tmp_path / f"pm{i}.json"
         path.write_text(json.dumps(doc))
         argvs.append(["order", "--pair-model", str(path), "--data", str(data_path)])
+    # the codimension-1 sectors on a lattice whose second coordinate neither
+    # the pushforward nor the pairing reaches, with a nonzero FZ or without
+    ad_path = tmp_path / "ad.json"
+    ad_path.write_text(json.dumps({"kind": "absolute", "components": [
+        {"genus": 0, "class": ["1/4"], "s_markings": [{"sector": "t", "j": 1, "psi": 0}]}
+    ]}))
+    for i, fz in enumerate([[0, 1], [0, 0]]):
+        lattice = {"rank": 2, "F": [0, 1], "FZ": fz, "Z_pairing": [2, 0], "kappa_push": [[1, 0]]}
+        path = tmp_path / f"codim1_{i}.json"
+        path.write_text(json.dumps({**PAIR_MODEL_CODIM1, "lattice": lattice}))
+        argvs.append(["correspond", "--pair-model", str(path), "--data", str(ad_path)])
     for argv in argvs:
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and err.startswith("SchemaError") and err.count("\n") == 1, argv

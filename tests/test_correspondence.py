@@ -315,9 +315,12 @@ def test_pre_minimal_splitting_law(pm_a):
 # -- the partial order ---------------------------------------------------------
 
 
-def test_precedes_reflexive(pm_b):
-    for rd in enumerate_relative_data(pm_b, windows=(0,), genus_values=(0, 1), limit=25):
-        assert precedes(pm_b, rd, rd)
+def test_precedes_reflexive(pm_a, pm_b, pm_c, pm_codim1):
+    # the minimal companion glues every datum into itself
+    for model in (pm_a, pm_b, pm_c, pm_codim1):
+        for rd in enumerate_relative_data(model, windows=(0,), genus_values=(0, 1), limit=25):
+            assert glue(model, rd, companion_rplus(model, n_minimal_companion(rd))) == rd
+            assert precedes(model, rd, rd)
 
 
 def test_precedes_extra_component_example(pm_b, rd_one_marking):

@@ -18,7 +18,7 @@ from wbcorr.pair_model import (
 )
 from wbcorr.rationals import Rational as Q
 
-from conftest import PAIR_MODEL_B
+from conftest import PAIR_MODEL_B, PAIR_MODEL_CODIM1
 
 
 def _variant(doc, mutate):
@@ -71,6 +71,21 @@ def test_model_lookup_helpers(pm_b):
 def test_model_validation_rejects(mutate):
     with pytest.raises(SchemaError):
         FormalPairModel.from_json(_variant(PAIR_MODEL_B, mutate))
+
+
+@pytest.mark.parametrize(
+    "fz, message",
+    [
+        # FZ pushes and pairs to zero, so nothing fixes its coordinate
+        ([0, 1], "FZ must be zero"),
+        # FZ = 0, but the lattice is still undetermined
+        ([0, 0], "do not determine classes uniquely"),
+    ],
+)
+def test_codim1_model_validation_rejects_undetermined_lattices(fz, message):
+    lattice = {"rank": 2, "F": [0, 1], "FZ": fz, "Z_pairing": [2, 0], "kappa_push": [[1, 0]]}
+    with pytest.raises(SchemaError, match=message):
+        FormalPairModel.from_json({**PAIR_MODEL_CODIM1, "lattice": lattice})
 
 
 def test_codim1_model_waives_fiber_positivity(pm_codim1):

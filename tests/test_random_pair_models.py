@@ -1,21 +1,28 @@
-"""The degeneration order on random pair models.
+"""The degeneration order and the transfer system on random pair models.
 
 ``comparison_matrix`` decides each pair from cell records and builds
 nothing; ``find_precedence_witness`` builds the witness of the same
 decision, glues it into the target and validates every component.  On
-random models (codimension 1 and higher, ``FZ`` zero and nonzero) and
-data enumerated over them, the two must agree pair by pair, every built
-witness must glue, through the public ``glue``, into its target, and
-``precedes`` must be antisymmetric and hold from a datum to its minimal
-companion's image.  ``precedes`` is not a partial order: the image differs
-from the datum when ``FZ`` is nonzero, and where ``a`` precedes ``b`` and
-``b`` precedes ``c`` but not ``a`` precedes ``c``, the brute-force oracle
-of ``test_witness_oracle``, which shares no code with the search, must find
+random models (codimension 1 and higher) and data enumerated over them,
+the two must agree pair by pair, every built witness must glue, through
+the public ``glue``, into its target, and ``precedes`` must be reflexive
+(the minimal companion glues a datum into itself) and antisymmetric.
+``precedes`` is not a partial order: where ``a`` precedes ``b`` and ``b``
+precedes ``c`` but not ``a`` precedes ``c``, the brute-force oracle of
+``test_witness_oracle``, which shares no code with the search, must find
 no witness either.  On tiny data, ``precedes`` must agree with that oracle
-on every pair.  The psi maps must round trip on the same models.
+on every pair.  The psi maps must round trip on the same models, and
+``assemble_L`` and ``solve_lower_triangular`` must agree with the order,
+with a second route to the diagonal, and with the CLI.
 """
 
+import contextlib
+import io
+import json
+import math
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,84 +33,55 @@ from wbcorr import (
     FormalPairModel,
     OutOfImageError,
     RPlusComponent,
+    TriangularError,
+    assemble_L,
+    c_bounds,
     c_to_Rd,
     companion_rplus,
     comparison_matrix,
     enumerate_relative_data,
     find_precedence_witness,
+    gen_factorial,
     glue,
+    h_prime_oracle,
+    linear_extension_order,
     n_minimal_companion,
     precedes,
     psi_forward,
     psi_inverse,
+    solve_lower_triangular,
 )
+from wbcorr.cli import main
 from wbcorr.pair_model import (
     AbsoluteData,
     ConnectedAbsoluteData,
-    ConnectedRelativeData,
     RelativeData,
     RelativeMarking,
     SMarking,
 )
 from wbcorr.rationals import Rational as Q
-from wbcorr.rationals import frac
+from wbcorr.rationals import format_rational, frac
 
 from conftest import pair_model_docs
 from test_witness_oracle import oracle_precedes
 
 
-def fz_free(doc):
-    """``doc`` without the lattice coordinate that only a nonzero ``FZ`` reaches."""
-    lattice = doc["lattice"]
-    if lattice["rank"] != 3:
-        return doc
-    twin = {key: lattice[key][:2] for key in ("F", "FZ", "Z_pairing")}
-    twin.update(rank=2, kappa_push=[row[:2] for row in lattice["kappa_push"]])
-    return {**doc, "lattice": twin}
-
-
-def data_pool(doc):
-    """Valid data over the model of ``doc``: single components and pairs of
-    consecutive ones from ``enumerate_relative_data``.
-
-    ``enumerate_relative_data`` solves for each class from its pushforward
-    and pairing, which a nonzero ``FZ`` leaves undetermined.  On such a
-    model the data are enumerated over the same model without the ``FZ``
-    coordinate, and each component then comes twice: with that coordinate
-    0, and shifted by its total contact times ``FZ`` (what a minimal
-    bubble datum adds).
-    """
-    lattice = doc["lattice"]
-    fz = lattice["FZ"][-1] if lattice["rank"] == 3 else 0
-    model = FormalPairModel.from_json(fz_free(doc))
-    data = enumerate_relative_data(model, windows=(0,), genus_values=(0, 1), components=2)
-    if not fz:
-        return data
-
-    def shifted(rd, k):
-        return RelativeData(
-            tuple(
-                ConnectedRelativeData(c.genus, c.cls + (k * fz * c.contact_sum(),), c.absolute, c.relative)
-                for c in rd.components
-            )
-        )
-
-    return [shifted(rd, k) for rd in data for k in (0, 1)]
-
-
 @st.composite
 def models_and_data(draw, max_picks=6):
-    doc = draw(pair_model_docs)
+    """A drawn model and distinct data over it: single components and pairs
+    of consecutive ones from ``enumerate_relative_data``."""
+    model = FormalPairModel.from_json(draw(pair_model_docs))
+    pool = enumerate_relative_data(model, windows=(0,), genus_values=(0, 1), components=2)
     # data with divisor markings first, where small indices are drawn most
-    pool = sorted(data_pool(doc), key=lambda rd: not rd.relative_markings())
+    pool.sort(key=lambda rd: not rd.relative_markings())
     indices = st.integers(0, len(pool) - 1)
     picks = draw(st.lists(indices, min_size=1, max_size=max_picks, unique=True))
     data = []
     for i in picks:
         # a datum beside its neighbours in enumeration order, which differ
-        # from it in genus, ambient markings or the FZ shift
+        # from it in genus or ambient markings
         data += pool[i : i + 3]
-    return FormalPairModel.from_json(doc), list(dict.fromkeys(data))
+    return model, list(dict.fromkeys(data))
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,39 +117,28 @@ def absolute_pool(model):
 @settings(max_examples=30, deadline=None)
 @given(pair_model_docs)
 def test_psi_round_trips_on_drawn_models(doc):
-    # over the FZ-free twin: psi_inverse undoes psi_forward on enumerated
-    # relative data, and psi_forward undoes psi_inverse on enumerated
-    # absolute data in its image
-    twin = FormalPairModel.from_json(fz_free(doc))
-    data = enumerate_relative_data(twin, windows=(0, 1), genus_values=(0, 1), components=2, limit=40)
+    # psi_inverse undoes psi_forward on enumerated relative data, and
+    # psi_forward undoes psi_inverse on enumerated absolute data in its image
+    model = FormalPairModel.from_json(doc)
+    data = enumerate_relative_data(model, windows=(0, 1), genus_values=(0, 1), components=2, limit=40)
     assert data
     images = []
     for rd in data:
-        images.append(psi_forward(twin, rd))
-        assert psi_inverse(twin, images[-1]) == rd
-    for ad in images + absolute_pool(twin):
+        images.append(psi_forward(model, rd))
+        assert psi_inverse(model, images[-1]) == rd
+    for ad in images + absolute_pool(model):
         try:
-            rd = psi_inverse(twin, ad)
+            rd = psi_inverse(model, ad)
         except OutOfImageError:
-            # in codimension >= 2 psi is onto the data whose labels have
+            # in codimension >= 2 psi is onto the data whose labels carry
             # the phase of a divisor sector; a drawn model may lack some
             (m,) = ad.components[0].s_markings
-            R, _ = c_to_Rd(twin.local_model_over(m.sector), m.psi)
-            phases = {z.phase for z in twin.z_sectors if z.pi == m.sector}
-            assert twin.codim == 1 or frac(R) not in phases
+            R, _ = c_to_Rd(model.local_model_over(m.sector), m.psi)
+            phases = {z.phase for z in model.z_sectors if z.pi == m.sector}
+            assert model.codim == 1 or frac(R) not in phases
             continue
-        twin.validate_relative_data(rd)
-        assert psi_forward(twin, rd) == ad
-    if any(doc["lattice"]["FZ"]):
-        # codimension 1 with a nonzero FZ: pushforward and pairing leave the
-        # FZ coordinate free, so no class is recovered; the loader accepts
-        # such models all the same
-        model = FormalPairModel.from_json(doc)
-        assert model.codim == 1
-        for rd in data_pool(doc)[:10]:
-            ad = psi_forward(model, rd)
-            with pytest.raises(DomainError, match="class system is underdetermined"):
-                psi_inverse(model, ad)
+        model.validate_relative_data(rd)
+        assert psi_forward(model, rd) == ad
 
 
 @settings(max_examples=20, deadline=None)
@@ -179,12 +146,9 @@ def test_psi_round_trips_on_drawn_models(doc):
 def test_precedes_is_antisymmetric_and_oracle_checked_where_intransitive(drawn):
     model, data = drawn  # distinct data
     for a in data:
-        # the minimal companion glues a datum into an equal copy of itself
-        # when FZ = 0; a nonzero FZ shifts the copy's class by total contact
-        # times FZ, so precedes(a, a) can fail
-        image = glue(model, a, companion_rplus(model, n_minimal_companion(a)))
-        assert precedes(model, a, image)
-        assert image == a or any(model.fz_class)
+        # reflexive: the minimal companion glues a datum into itself
+        assert glue(model, a, companion_rplus(model, n_minimal_companion(a))) == a
+        assert precedes(model, a, a)
     before = {(a, b) for a in data for b in data if a != b and precedes(model, a, b)}
     for a, b in before:
         assert (b, a) not in before  # antisymmetric
@@ -221,14 +185,14 @@ def _glued_targets(model, host, markings):
 
 @st.composite
 def tiny_models_and_data(draw):
-    """An ``FZ``-free drawn model and up to 7 tiny data over it: at most 3
+    """A drawn model and up to 7 tiny data over it: at most 3
     divisor markings, 2 components and genus 1, as the oracle needs.
 
     Beside data drawn from the enumeration, a host of two genus-0
     components (2 and 1 divisor markings) comes with the targets that one
     block capping all three markings glues it into, so that pairs whose
     target has two divisor markings fewer are drawn too."""
-    model = FormalPairModel.from_json(fz_free(draw(pair_model_docs)))
+    model = FormalPairModel.from_json(draw(pair_model_docs))
     everything = enumerate_relative_data(
         model, windows=(0,), genus_values=(0, 1), max_markings=2, components=2
     )
@@ -254,3 +218,74 @@ def test_precedes_matches_the_witness_oracle_on_tiny_data(drawn):
     model, data = drawn
     for a, b in product(data, repeat=2):
         assert precedes(model, a, b) == oracle_precedes(model, a, b)
+
+
+def diagonal_by_h_prime(model, rd):
+    """The transfer-matrix diagonal entry of ``rd`` by a second route: the
+    product of its contacts times, over its minimal companion's components
+    ``(s, R, j, ell)``, ``r h'(R, ell) / prod_u gfact(c_max_u, [tau(R, u)])``
+    in the local model of ``s``, with ``h'`` from ``h_prime_oracle``."""
+    value = math.prod((m.contact for m in rd.relative_markings()), start=Q(1))
+    for m in n_minimal_companion(rd).components:
+        local = model.z_sector(m.sector).local_model
+        _, c_max = c_bounds(local, m.contact)
+        fact = math.prod(
+            gen_factorial(c, math.floor(local.tau(m.contact, u))) for u, c in enumerate(c_max, 1)
+        )
+        value *= local.r * h_prime_oracle(local, m.contact, m.ell) / fact
+    return value
+
+
+def run_cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=25, deadline=None)
+@given(models_and_data(max_picks=2), st.data())
+def test_transfer_system_on_drawn_models(drawn, draw):
+    model, data = drawn  # distinct data
+    order = linear_extension_order(model, data)
+    basis = [data[i] for i in order]
+    strict = comparison_matrix(model, basis)
+    n = len(basis)
+    # an off-diagonal entry is admitted exactly where the column precedes
+    # the row; a linear extension puts every such column left of its row
+    offdiag = {}
+    for row, col in product(range(n), repeat=2):
+        entry = {(row, col): Q(row + 1, col + 2)}
+        if strict[col][row]:
+            assert col < row
+            assert assemble_L(model, basis, entry)[row][col] == entry[row, col]
+            offdiag.update(entry)
+        else:
+            with pytest.raises(TriangularError):
+                assemble_L(model, basis, entry)
+    L = assemble_L(model, basis, offdiag)
+    for i, j in product(range(n), repeat=2):
+        expected = diagonal_by_h_prime(model, basis[i]) if i == j else offdiag.get((i, j), 0)
+        assert L[i][j] == expected
+    x = draw.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n))
+    v = [sum((a * b for a, b in zip(row, x)), Q(0)) for row in L]
+    assert solve_lower_triangular(L, v) == x
+    # the CLI takes data and off-diagonal entries by input index
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp) / f"{name}.json") for name in ("pm", "data", "od", "L", "v")}
+        docs = {
+            "pm": model.to_json(),
+            "data": [rd.to_json() for rd in data],
+            "od": [[order[r], order[c], format_rational(e)] for (r, c), e in offdiag.items()],
+            "L": [[format_rational(e) for e in row] for row in L],
+            "v": [format_rational(e) for e in v],
+        }
+        for name, doc in docs.items():
+            Path(paths[name]).write_text(json.dumps(doc))
+        assembled = run_cli(
+            "assemble", "--pair-model", paths["pm"], "--data", paths["data"],
+            "--offdiag", paths["od"], "--format", "json",
+        )
+        assert assembled == {"order": order, "matrix": docs["L"]}
+        solved = run_cli("solve", "--matrix", paths["L"], "--vector", paths["v"], "--format", "json")
+        assert solved == {"solution": [format_rational(e) for e in x]}
