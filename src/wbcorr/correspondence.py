@@ -89,7 +89,6 @@ model; one that fails is never recorded.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -233,12 +232,6 @@ class RPlusComponent:
         object.__setattr__(self, "zero", tuple(sorted(self.zero, key=lambda m: m.sort_key())))
 
 
-@functools.cache
-def _zero_class(rank: int) -> tuple:
-    """The zero class of a rank-``rank`` lattice, as exact zeros."""
-    return (Rational(0),) * rank
-
-
 def _is_fiber_pattern(comp: RPlusComponent) -> bool:
     return (
         comp.genus == 0
@@ -310,9 +303,10 @@ def n_minimal_companion(rd: RelativeData) -> NMinimalData:
 
 def companion_rplus(model: FormalPairModel, companion: NMinimalData) -> list[RPlusComponent]:
     """Realize a minimal bubble datum as gluable components."""
-    zero = _zero_class(model.rank)
     return [
-        RPlusComponent(genus=0, cls=zero, infinity=(model.dual_marking(m),), zero=(m,))
+        RPlusComponent(
+            genus=0, cls=[0] * model.rank, infinity=(model.dual_marking(m),), zero=(m,)
+        )
         for m in companion.components
     ]
 
@@ -351,7 +345,7 @@ def _glue_tagged(model, rd_comps, witness, hosts):
     for members in groups.values():
         n_edges = sum(len(hosts[k]) for kind, k in members if kind == "b")
         genus = n_edges - len(members) + 1  # first Betti number of the matching graph
-        cls = _zero_class(model.rank)
+        cls = tuple(Rational(0) for _ in range(model.rank))
         absolute = []
         relative = []
         for kind, idx in members:
@@ -565,7 +559,7 @@ def _cell_blocks(model, comps1, p_indices, c2comp, arrangement, free):
     block_zeros = [[] for _ in parts]
     for z, k in zip(c2comp.relative, arrangement.assign):
         block_zeros[k].append(z)
-    zero = _zero_class(model.rank)
+    zero = [0] * model.rank
     if not free:
         return [
             RPlusComponent(0, zero, (), inf, zeros) for inf, zeros in zip(infinity, block_zeros)

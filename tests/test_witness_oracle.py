@@ -2,12 +2,9 @@
 
 It decides whether ``rd1`` precedes ``rd2`` by enumerating bubble data
 directly from the gluing rules in the ``correspondence`` module docstring,
-checking each one with the public ``glue``, gluing it along the matching of
-host markings it was enumerated with, and comparing the result with
+gluing each one with the public ``glue`` and comparing the result with
 ``rd2``.  It shares no code with the witness search: no cells, no maps of
-components, no feasibility summaries.  (``glue`` itself matches equal
-markings on different host components in canonical order, which can attach
-a block to other hosts than the enumerated matching does.)
+components, no feasibility summaries.
 
 A bubble datum is enumerated as
 
@@ -105,28 +102,6 @@ def glued_groups(n_host, attached):
     return list(groups.values())
 
 
-def glued_datum(host, groups, witness):
-    """The datum that ``witness`` glues the components ``host`` into, along
-    ``groups`` (connected groups of nodes, as from ``glued_groups``, plus
-    one group per standalone block): per group, genera add up with the
-    first Betti number of its matching graph, classes and ambient markings
-    add up, and the blocks' zero markings survive."""
-    comps = []
-    for group in groups:
-        parts = [host[i] if kind == "r" else witness[i] for kind, i in group]
-        blocks = [witness[i] for kind, i in group if kind == "b"]
-        edges = sum(len(b.infinity) for b in blocks)
-        comps.append(
-            ConnectedRelativeData(
-                genus=edges - len(group) + 1 + sum(p.genus for p in parts),
-                cls=tuple(map(sum, zip(*(p.cls for p in parts)))),
-                absolute=tuple(m for p in parts for m in p.absolute),
-                relative=tuple(m for b in blocks for m in b.zero),
-            )
-        )
-    return RelativeData(tuple(comps))
-
-
 def oracle_witnesses(model, rd1, rd2):
     """Yield every enumerated bubble datum (a list of RPlusComponent) that
     glues ``rd1`` into ``rd2`` and satisfies (P2)."""
@@ -213,10 +188,10 @@ def _with_classes(model, rd1, rd2, groups, infinity, block_zeros, block_abs, gen
             continue
         seen.add(key)
         try:
-            glue(model, rd1, witness)
+            glued = glue(model, rd1, witness)
         except DomainError:
             continue  # flux, effectivity or fiber rigidity fails
-        if glued_datum(host, groups, witness) != rd2:
+        if glued != rd2:
             continue
         if all(is_pre_minimal(model, c) for c in witness) and not all(
             is_minimal(model, c) for c in witness
