@@ -102,7 +102,7 @@ from .errors import (
     SearchLimitError,
     TriangularError,
 )
-from .invariants import ProperInsertionPair, relative_invariant
+from .invariants import h_invariant
 from .pair_model import (
     AbsoluteData,
     ConnectedAbsoluteData,
@@ -112,6 +112,7 @@ from .pair_model import (
     RelativeData,
     RelativeMarking,
     SMarking,
+    _Canonical,
 )
 from .ranking import c_to_Rd, rk_tilde
 from .rationals import Rational, format_rational, frac
@@ -216,8 +217,10 @@ def psi_inverse(model: FormalPairModel, ad: AbsoluteData) -> RelativeData:
 
 
 @dataclass(frozen=True)
-class RPlusComponent:
-    """One connected bubble component of the self-degeneration piece."""
+class RPlusComponent(_Canonical):
+    """One connected bubble component of the self-degeneration piece, in the
+    canonical form of ``pair_model._Canonical``.  Its genus is checked by
+    validation against a model, not here."""
 
     genus: int
     cls: tuple
@@ -225,11 +228,7 @@ class RPlusComponent:
     infinity: tuple = ()  # markings matching the host datum (dual form)
     zero: tuple = ()  # markings surviving into the glued datum
 
-    def __post_init__(self):
-        object.__setattr__(self, "cls", tuple(Rational(c) for c in self.cls))
-        object.__setattr__(self, "absolute", tuple(sorted(self.absolute, key=lambda m: m.sort_key())))
-        object.__setattr__(self, "infinity", tuple(sorted(self.infinity, key=lambda m: m.sort_key())))
-        object.__setattr__(self, "zero", tuple(sorted(self.zero, key=lambda m: m.sort_key())))
+    _markings = ("absolute", "infinity", "zero")
 
 
 def _is_fiber_pattern(comp: RPlusComponent) -> bool:
@@ -882,8 +881,8 @@ def assemble_L(
         value = Rational(rule(rd))
         for m in n_minimal_companion(rd).components:
             local = model.z_sector(m.sector).local_model
-            c = rk_tilde(local, m.contact, m.ell) - 1
-            value *= relative_invariant(local, ProperInsertionPair(c=c, i=m.j, j=m.j))
+            # the invariant r H(R, ell) of the pair (i, i) at the marking's own label
+            value *= local.r * h_invariant(local, m.contact, m.ell)
         if value == 0:
             raise TriangularError(f"zero diagonal entry at basis position {idx}")
         L[idx][idx] = value

@@ -20,10 +20,14 @@ pushes to zero: the loader reads it as ``FZ`` and requires it to be zero.
 
 Relative/absolute data are immutable multisets of connected components in
 canonical (sorted) form, so equality is structural and values are
-hashable.  Admissibility beyond the internally checkable constraints
-(basis membership, label validity, contact-sum/class pairing consistency)
-is asserted by the caller, not re-derived; the model carries no Chern data
-to derive it from.
+hashable.  The canonical form lives in this module's private mixins:
+``_Canonical`` (exact class vectors and sorted marking lists, also the
+base of ``correspondence.RPlusComponent``), ``_ConnectedData`` (genus
+check, sort key and JSON of a connected datum) and ``_Multiset`` (sort,
+sort key and JSON of a datum's components).  Admissibility beyond the
+internally checkable constraints (basis membership, label validity,
+contact-sum/class pairing consistency) is asserted by the caller, not
+re-derived; the model carries no Chern data to derive it from.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, SectorError
 from .local_model import LocalModel
 from .ranking import lambda_preimages, require_fiber_label, window
 from .rationals import Rational, _parse_int, format_rational, frac, parse_rational
@@ -108,8 +112,62 @@ class SMarking:
         return {"sector": self.sector, "j": self.j, "psi": self.psi}
 
 
-def _marking_tuple(items, key=lambda m: m.sort_key()):
-    return tuple(sorted(items, key=key))
+# ---------------------------------------------------------------------------
+# canonical form
+
+
+def _sort_key(item):
+    return item.sort_key()
+
+
+class _Canonical:
+    """The canonical form of a datum or bubble component: ``cls`` as exact
+    rationals and each marking field named in ``_markings`` sorted by
+    ``sort_key``, so that equality is structural and values hash."""
+
+    _markings = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "cls", tuple(Rational(c) for c in self.cls))
+        for name in self._markings:
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=_sort_key)))
+
+
+class _ConnectedData(_Canonical):
+    """A connected datum: a nonnegative genus, its canonical form, and the
+    sort key and JSON of its genus, class and marking lists."""
+
+    def __post_init__(self):
+        if self.genus < 0:
+            raise SchemaError(f"genus must be nonnegative, got {self.genus}")
+        super().__post_init__()
+
+    def sort_key(self):
+        return (
+            self.genus,
+            self.cls,
+            *(tuple(m.sort_key() for m in getattr(self, name)) for name in self._markings),
+        )
+
+    def to_json(self):
+        doc = {"genus": self.genus, "class": [format_rational(c) for c in self.cls]}
+        for name in self._markings:
+            doc[name] = [m.to_json() for m in getattr(self, name)]
+        return doc
+
+
+class _Multiset:
+    """A multiset of components in canonical (sorted) order, written to JSON
+    under the document kind ``_kind``."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "components", tuple(sorted(self.components, key=_sort_key)))
+
+    def sort_key(self):
+        return (len(self.components), tuple(c.sort_key() for c in self.components))
+
+    def to_json(self):
+        return {"kind": self._kind, "components": [c.to_json() for c in self.components]}
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +175,7 @@ def _marking_tuple(items, key=lambda m: m.sort_key()):
 
 
 @dataclass(frozen=True)
-class ConnectedRelativeData:
+class ConnectedRelativeData(_ConnectedData):
     """One connected relative datum: genus, class vector, marking lists."""
 
     genus: int
@@ -125,61 +183,29 @@ class ConnectedRelativeData:
     absolute: tuple = ()
     relative: tuple = ()
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise SchemaError(f"genus must be nonnegative, got {self.genus}")
-        object.__setattr__(self, "cls", tuple(Rational(c) for c in self.cls))
-        object.__setattr__(self, "absolute", _marking_tuple(self.absolute))
-        object.__setattr__(self, "relative", _marking_tuple(self.relative))
-
-    def sort_key(self):
-        return (
-            self.genus,
-            self.cls,
-            tuple(m.sort_key() for m in self.absolute),
-            tuple(m.sort_key() for m in self.relative),
-        )
+    _markings = ("absolute", "relative")
 
     def contact_sum(self):
         return sum((m.contact for m in self.relative), Rational(0))
 
-    def to_json(self):
-        return {
-            "genus": self.genus,
-            "class": [format_rational(c) for c in self.cls],
-            "absolute": [m.to_json() for m in self.absolute],
-            "relative": [m.to_json() for m in self.relative],
-        }
-
 
 @dataclass(frozen=True)
-class RelativeData:
+class RelativeData(_Multiset):
     """A possibly disconnected relative datum: canonical multiset of components."""
 
     components: tuple = ()
 
-    def __post_init__(self):
-        comps = tuple(sorted(self.components, key=lambda c: c.sort_key()))
-        object.__setattr__(self, "components", comps)
-
-    def sort_key(self):
-        return (len(self.components), tuple(c.sort_key() for c in self.components))
+    _kind = "relative"
 
     def relative_markings(self):
         return [m for comp in self.components for m in comp.relative]
 
-    def to_json(self):
-        return {"kind": "relative", "components": [c.to_json() for c in self.components]}
-
     @classmethod
     def from_json(cls, doc) -> "RelativeData":
-        comps = []
-        for c in _components_of(doc, "relative"):
-            comps.append(
+        return cls(
+            components=tuple(
                 ConnectedRelativeData(
-                    genus=_int_field(c, "genus"),
-                    cls=_class_field(c),
-                    absolute=_absolute_field(c),
+                    **_connected_fields(c),
                     relative=tuple(
                         RelativeMarking(
                             sector=_str_field(m, "sector"),
@@ -190,12 +216,13 @@ class RelativeData:
                         for m in _list_field(c, "relative")
                     ),
                 )
+                for c in _components_of(doc, "relative")
             )
-        return cls(components=tuple(comps))
+        )
 
 
 @dataclass(frozen=True)
-class ConnectedAbsoluteData:
+class ConnectedAbsoluteData(_ConnectedData):
     """One connected absolute datum over the downstairs space."""
 
     genus: int
@@ -203,53 +230,21 @@ class ConnectedAbsoluteData:
     absolute: tuple = ()
     s_markings: tuple = ()
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise SchemaError(f"genus must be nonnegative, got {self.genus}")
-        object.__setattr__(self, "cls", tuple(Rational(c) for c in self.cls))
-        object.__setattr__(self, "absolute", _marking_tuple(self.absolute))
-        object.__setattr__(self, "s_markings", _marking_tuple(self.s_markings))
-
-    def sort_key(self):
-        return (
-            self.genus,
-            self.cls,
-            tuple(m.sort_key() for m in self.absolute),
-            tuple(m.sort_key() for m in self.s_markings),
-        )
-
-    def to_json(self):
-        return {
-            "genus": self.genus,
-            "class": [format_rational(c) for c in self.cls],
-            "absolute": [m.to_json() for m in self.absolute],
-            "s_markings": [m.to_json() for m in self.s_markings],
-        }
+    _markings = ("absolute", "s_markings")
 
 
 @dataclass(frozen=True)
-class AbsoluteData:
+class AbsoluteData(_Multiset):
     components: tuple = ()
 
-    def __post_init__(self):
-        comps = tuple(sorted(self.components, key=lambda c: c.sort_key()))
-        object.__setattr__(self, "components", comps)
-
-    def sort_key(self):
-        return (len(self.components), tuple(c.sort_key() for c in self.components))
-
-    def to_json(self):
-        return {"kind": "absolute", "components": [c.to_json() for c in self.components]}
+    _kind = "absolute"
 
     @classmethod
     def from_json(cls, doc) -> "AbsoluteData":
-        comps = []
-        for c in _components_of(doc, "absolute"):
-            comps.append(
+        return cls(
+            components=tuple(
                 ConnectedAbsoluteData(
-                    genus=_int_field(c, "genus"),
-                    cls=_class_field(c),
-                    absolute=_absolute_field(c),
+                    **_connected_fields(c),
                     s_markings=tuple(
                         SMarking(
                             sector=_str_field(m, "sector"),
@@ -259,24 +254,20 @@ class AbsoluteData:
                         for m in _list_field(c, "s_markings")
                     ),
                 )
+                for c in _components_of(doc, "absolute")
             )
-        return cls(components=tuple(comps))
+        )
 
 
 @dataclass(frozen=True)
-class NMinimalData:
+class NMinimalData(_Multiset):
     """A minimal bubble datum: one (sector, contact, insertion) triple per
     component, each encoding a genus-zero fiber component with dual markings
     at the two ends.  May be empty (its invariant is 1)."""
 
     components: tuple = ()
 
-    def __post_init__(self):
-        comps = tuple(sorted(self.components, key=lambda m: m.sort_key()))
-        object.__setattr__(self, "components", comps)
-
-    def to_json(self):
-        return {"kind": "n_minimal", "components": [m.to_json() for m in self.components]}
+    _kind = "n_minimal"
 
 
 def load_data(doc):
@@ -347,15 +338,15 @@ def _int_vector(values, name):
         raise SchemaError(f"lattice {name}: {exc}") from exc
 
 
-def _class_field(obj):
+def _connected_fields(obj):
+    """The genus, class and ambient markings of a connected datum's JSON,
+    read in that order, as keyword arguments of its class."""
+    genus = _int_field(obj, "genus")
     try:
-        return tuple(parse_rational(x) for x in _list_field(obj, "class"))
+        cls = tuple(parse_rational(x) for x in _list_field(obj, "class"))
     except ValueError as exc:
         raise SchemaError(f"malformed class vector: {exc}") from exc
-
-
-def _absolute_field(obj):
-    return tuple(
+    absolute = tuple(
         AbsoluteMarking(
             sector=_str_field(m, "sector"),
             insertion=_str_field(m, "insertion"),
@@ -363,6 +354,7 @@ def _absolute_field(obj):
         )
         for m in _list_field(obj, "absolute")
     )
+    return {"genus": genus, "cls": cls, "absolute": absolute}
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +434,6 @@ class FormalPairModel:
     def __post_init__(self):
         object.__setattr__(self, "_s_by_name", {s.name: s for s in self.s_sectors})
         object.__setattr__(self, "_z_by_name", {z.name: z for z in self.z_sectors})
-        # ell_max per divisor sector, filled on first use: a sector is read
-        # only once _validate has checked its phase
-        object.__setattr__(self, "_ell_max", {})
         # divisor markings that passed validate_relative_marking; a marking
         # that fails is never recorded, so it raises on every call
         object.__setattr__(self, "_valid_markings", set())
@@ -525,6 +514,7 @@ class FormalPairModel:
                 raise SchemaError(f"dual basis size mismatch between {s.name!r} and {s.bar!r}")
         n_values = set()
         by_pi: dict[str, list[ZSector]] = {}
+        ell_max = {}
         for z in self.z_sectors:
             partner = self._z_by_name.get(z.bar)
             if partner is None or partner.bar != z.name:
@@ -539,13 +529,18 @@ class FormalPairModel:
                 raise SchemaError(f"phase of {z.bar!r} must be the negated phase of {z.name!r}")
             n_values.add(z.local_model.n)
             by_pi.setdefault(z.pi, []).append(z)
-            delta = z.local_model.distinguished_sector(z.phase)
-            if delta not in z.local_model.sector_index_set():
-                raise SchemaError(f"phase of {z.name!r} is not a sector of its local model")
+            try:
+                support = z.local_model.sector_support(z.local_model.distinguished_sector(z.phase))
+            except SectorError:
+                raise SchemaError(f"phase of {z.name!r} is not a sector of its local model") from None
+            ell_max[z.name] = len(support) - 1
         for z in self.z_sectors:
-            # only meaningful once every phase has been checked above
-            if self.ell_max(z.name) != self.ell_max(z.bar):
+            if ell_max[z.name] != ell_max[z.bar]:
                 raise SchemaError(f"H-power ranges differ between {z.name!r} and {z.bar!r}")
+        # the H-power bound of each divisor sector, and the divisor sectors
+        # over each base sector in z_sectors order
+        object.__setattr__(self, "_ell_max", ell_max)
+        object.__setattr__(self, "_z_by_pi", by_pi)
         if len(n_values) > 1:
             raise SchemaError("all local models must share the same codimension")
         for t, group in by_pi.items():
@@ -633,25 +628,21 @@ class FormalPairModel:
         return len(self.s_sector(t).basis)
 
     def local_model_over(self, t: str) -> LocalModel:
-        for z in self.z_sectors:
-            if z.pi == t:
-                return z.local_model
-        raise DomainError(f"no divisor sector projects to {t!r}")
+        try:
+            return self._z_by_pi[t][0].local_model
+        except KeyError:
+            raise DomainError(f"no divisor sector projects to {t!r}") from None
 
     def z_sector_for(self, t: str, phase) -> ZSector:
         ph = frac(Rational(phase))
-        for z in self.z_sectors:
-            if z.pi == t and z.phase == ph:
+        for z in self._z_by_pi.get(t, ()):
+            if z.phase == ph:
                 return z
         raise DomainError(f"no divisor sector over {t!r} with phase {format_rational(ph)}")
 
     def ell_max(self, s_name: str) -> int:
         """Largest H-power on a divisor sector: its support size less one."""
-        if s_name not in self._ell_max:
-            z = self.z_sector(s_name)
-            delta = z.local_model.distinguished_sector(z.phase)
-            self._ell_max[s_name] = len(z.local_model.sector_support(delta)) - 1
-        return self._ell_max[s_name]
+        return self._ell_max[self.z_sector(s_name).name]
 
     def dual_marking(self, m: RelativeMarking) -> RelativeMarking:
         """The dual divisor marking: partner sector, same contact and basis pair."""
@@ -697,19 +688,24 @@ class FormalPairModel:
         require_fiber_label(z.local_model, m.contact)
         if not 1 <= m.j <= self.sigma_size(z.pi):
             raise DomainError(f"basis index {m.j} outside the basis of {z.pi!r}")
-        if not 0 <= m.ell <= self.ell_max(m.sector):
-            raise DomainError(f"H-power {m.ell} outside [0, {self.ell_max(m.sector)}] on {m.sector!r}")
+        ell_max = self._ell_max[m.sector]
+        if not 0 <= m.ell <= ell_max:
+            raise DomainError(f"H-power {m.ell} outside [0, {ell_max}] on {m.sector!r}")
         self._valid_markings.add(m)
+
+    def _validate_component(self, comp, rank: int, rank_name: str):
+        """Check a connected datum's class length and ambient markings."""
+        if len(comp.cls) != rank:
+            raise DomainError(f"class vector length {len(comp.cls)} != {rank_name} {rank}")
+        for m in comp.absolute:
+            if m.insertion not in self.k_classes:
+                raise DomainError(f"ambient insertion {m.insertion!r} not among the declared classes")
+            if m.psi < 0:
+                raise DomainError("descendent powers must be nonnegative")
 
     def validate_relative_data(self, rd: RelativeData):
         for comp in rd.components:
-            if len(comp.cls) != self.rank:
-                raise DomainError(f"class vector length {len(comp.cls)} != lattice rank {self.rank}")
-            for m in comp.absolute:
-                if m.insertion not in self.k_classes:
-                    raise DomainError(f"ambient insertion {m.insertion!r} not among the declared classes")
-                if m.psi < 0:
-                    raise DomainError("descendent powers must be nonnegative")
+            self._validate_component(comp, self.rank, "lattice rank")
             for m in comp.relative:
                 self.validate_relative_marking(m)
             if comp.contact_sum() != self.zp(comp.cls):
@@ -720,15 +716,7 @@ class FormalPairModel:
 
     def validate_absolute_data(self, ad: AbsoluteData):
         for comp in ad.components:
-            if len(comp.cls) != self.push_rank:
-                raise DomainError(
-                    f"class vector length {len(comp.cls)} != downstairs rank {self.push_rank}"
-                )
-            for m in comp.absolute:
-                if m.insertion not in self.k_classes:
-                    raise DomainError(f"ambient insertion {m.insertion!r} not among the declared classes")
-                if m.psi < 0:
-                    raise DomainError("descendent powers must be nonnegative")
+            self._validate_component(comp, self.push_rank, "downstairs rank")
             for m in comp.s_markings:
                 if not 1 <= m.j <= self.sigma_size(m.sector):
                     raise DomainError(f"basis index {m.j} outside the basis of {m.sector!r}")

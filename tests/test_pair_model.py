@@ -1,5 +1,7 @@
 import copy
 import math
+from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
 
 import pytest
@@ -8,17 +10,22 @@ from hypothesis import strategies as st
 
 from wbcorr import DomainError, FormalPairModel, SchemaError, enumerate_relative_data
 from wbcorr import pair_model
+from wbcorr.correspondence import RPlusComponent
 from wbcorr.pair_model import (
+    AbsoluteData,
     AbsoluteMarking,
+    ConnectedAbsoluteData,
     ConnectedRelativeData,
+    NMinimalData,
     RelativeData,
     RelativeMarking,
+    SMarking,
     load_data,
     solve_exact,
 )
 from wbcorr.rationals import Rational as Q
 
-from conftest import PAIR_MODEL_B, PAIR_MODEL_CODIM1
+from conftest import PAIR_MODEL_A, PAIR_MODEL_B, PAIR_MODEL_CODIM1
 
 
 def _variant(doc, mutate):
@@ -40,10 +47,16 @@ def test_model_lookup_helpers(pm_b):
     assert pm_b.ell_max("s0") == 1
     assert pm_b.ell_max("sa") == 0
     assert pm_b.z_sector_for("t1", Q(1, 2)).name == "sa"
-    with pytest.raises(DomainError):
+    assert pm_b.z_sector_for("t1", Q(3, 2)).name == "sa"  # the phase is read mod 1
+    assert pm_b.local_model_over("t1") == pm_b.z_sector("sa").local_model
+    with pytest.raises(DomainError, match=r"^no divisor sector over 't1' with phase 1/3$"):
         pm_b.z_sector_for("t1", Q(1, 3))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^no divisor sector over 'nowhere' with phase 0$"):
+        pm_b.z_sector_for("nowhere", 0)
+    with pytest.raises(DomainError, match=r"^no divisor sector projects to 'nowhere'$"):
         pm_b.local_model_over("nowhere")
+    with pytest.raises(DomainError, match=r"^unknown divisor sector 'nowhere'$"):
+        pm_b.ell_max("nowhere")
 
 
 @pytest.mark.parametrize(
@@ -71,6 +84,35 @@ def test_model_lookup_helpers(pm_b):
 def test_model_validation_rejects(mutate):
     with pytest.raises(SchemaError):
         FormalPairModel.from_json(_variant(PAIR_MODEL_B, mutate))
+
+
+def _h_power_mismatch(doc):
+    # s over t has ell_max 1; its partner over tb, at the same phase 0 of a
+    # model with the same codimension, has ell_max 0
+    doc["s_sectors"] = [
+        {"name": "t", "bar": "tb", "basis": [{"name": "p", "deg": 0}]},
+        {"name": "tb", "bar": "t", "basis": [{"name": "q", "deg": 0}]},
+    ]
+    s, sb = doc["z_sectors"][0], copy.deepcopy(doc["z_sectors"][0])
+    s.update(bar="sb")
+    sb.update(name="sb", bar="s", pi="tb", local_model={"r": 2, "beta": [1, 2], "alpha": [1, 1]})
+    doc["z_sectors"].append(sb)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        # the distinguished sector (1, 0) is not in Z_2 acting with weight 1
+        (
+            lambda d: d["z_sectors"][0].update(local_model={"r": 2, "beta": [1], "alpha": [1]}),
+            r"^phase of 's' is not a sector of its local model$",
+        ),
+        (_h_power_mismatch, r"^H-power ranges differ between 's' and 'sb'$"),
+    ],
+)
+def test_model_validation_messages(mutate, message):
+    with pytest.raises(SchemaError, match=message):
+        FormalPairModel.from_json(_variant(PAIR_MODEL_A, mutate))
 
 
 @pytest.mark.parametrize(
@@ -204,6 +246,66 @@ def test_data_canonicalization_and_hashing(pm_b):
     assert RelativeData((a, other)) == RelativeData((other, b))
 
 
+_AMBIENT = (AbsoluteMarking("amb", "one_X", 1), AbsoluteMarking("amb", "H2_X", 0))
+_DIVISOR = (RelativeMarking("sb", 1, 1, 0), RelativeMarking("sa", Q(1, 2), 2, 0))
+_BASE = (SMarking("t1", 2, 0), SMarking("t0", 1, 3))
+_CRD = (
+    ConnectedRelativeData(1, (0, 0)),
+    ConnectedRelativeData(0, (0, Q(3, 2)), _AMBIENT, _DIVISOR),
+)
+_CAD = (ConnectedAbsoluteData(0, (2,), _AMBIENT, _BASE), ConnectedAbsoluteData(0, (1,)))
+
+# each type with the keyword arguments before its marking or component
+# lists, and those lists
+_CANONICAL_CASES = {
+    "ConnectedRelativeData": (
+        partial(ConnectedRelativeData, genus=1, cls=(2, Q(1, 2))),
+        {"absolute": _AMBIENT, "relative": _DIVISOR},
+    ),
+    "ConnectedAbsoluteData": (
+        partial(ConnectedAbsoluteData, genus=0, cls=(3,)),
+        {"absolute": _AMBIENT, "s_markings": _BASE},
+    ),
+    "RPlusComponent": (
+        partial(RPlusComponent, genus=0, cls=(0, Q(1, 2))),
+        {"absolute": _AMBIENT, "infinity": _DIVISOR, "zero": _DIVISOR[1:] + _DIVISOR},
+    ),
+    "RelativeData": (RelativeData, {"components": _CRD}),
+    "AbsoluteData": (AbsoluteData, {"components": _CAD}),
+    "NMinimalData": (NMinimalData, {"components": _DIVISOR}),
+}
+
+
+@pytest.mark.parametrize("make, lists", _CANONICAL_CASES.values(), ids=_CANONICAL_CASES)
+def test_one_canonical_form_for_components_and_multisets(make, lists):
+    a = make(**lists)
+    b = make(**{name: list(reversed(items)) for name, items in lists.items()})
+    assert a == b and hash(a) == hash(b)
+    for name, items in lists.items():
+        got = getattr(a, name)
+        assert type(got) is tuple
+        assert list(got) == sorted(items, key=lambda x: x.sort_key())
+    components = a.components if hasattr(a, "components") else (a,)
+    for comp in components:
+        for c in getattr(comp, "cls", ()):
+            assert type(c) is Fraction
+        for m in getattr(comp, "relative", ()):
+            assert type(m.contact) is Fraction
+
+
+@pytest.mark.parametrize(
+    "datum",
+    [RelativeData(_CRD), AbsoluteData(_CAD), RelativeData(), AbsoluteData()],
+    ids=["relative", "absolute", "empty-relative", "empty-absolute"],
+)
+def test_data_from_json_inverts_to_json(datum):
+    doc = datum.to_json()
+    back = type(datum).from_json(doc)
+    assert back == datum and hash(back) == hash(datum)
+    assert back.to_json() == doc
+    assert load_data(doc) == datum
+
+
 def test_data_json_roundtrip(pm_b):
     rd = RelativeData(
         (
@@ -241,6 +343,15 @@ def test_load_data_rejects_bad_documents():
                 ],
             }
         )
+
+
+def test_class_length_messages(pm_b):
+    short = RelativeData((ConnectedRelativeData(0, (0,)),))
+    with pytest.raises(DomainError, match=r"^class vector length 1 != lattice rank 2$"):
+        pm_b.validate_relative_data(short)
+    long = AbsoluteData((ConnectedAbsoluteData(0, (0, 0)),))
+    with pytest.raises(DomainError, match=r"^class vector length 2 != downstairs rank 1$"):
+        pm_b.validate_absolute_data(long)
 
 
 def test_validate_relative_data_errors(pm_b):
