@@ -350,6 +350,8 @@ def _cmd_assemble(args):
                 raise SchemaError(
                     f"offdiag entry {entry!r}: row and col must be input indices"
                 ) from exc
+            if key in offdiag:
+                raise SchemaError(f"offdiag entry {entry!r} repeats an earlier row and col")
             offdiag[key] = parse_rational(value)
     rule = corr.default_coeff_rule if args.coeff == "product" else (lambda rd: Rational(1))
     L = corr.assemble_L(
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, help="window index")
         p.add_argument("--b", type=int, help="sector b-component (degshift)")
         p.add_argument("--coeff", choices=["product", "one"], default="product")
-        p.add_argument("--max-components", dest="max_components", type=int, default=16)
+        p.add_argument("--max-components", type=int, default=corr.DEFAULT_MAX_COMPONENTS)
         p.add_argument("--format", choices=["tsv", "json"], default="tsv")
         p.add_argument("--out", help="output path (default: stdout)")
     return parser

@@ -72,9 +72,11 @@ whose cell records admit a witness, and builds nothing, so
 ``comparison_matrix`` decides every pair from cell records alone.  Only
 ``find_precedence_witness`` (and ``precedes`` through it) builds the
 chosen arrangements into a witness, as ``RPlusComponent``s paired with the
-host index of each infinity marking, with classes as ``Fraction``
-vectors; it glues the witness, checks it against the target and validates
-each component.
+host index of each infinity marking.  Each block starts as the fiber block
+of ``companion_rplus``; in a free arrangement the blocks ``is_pre_minimal``
+rejects take the cell budget the pass reads too (genus slack and extra
+ambient markings) and a class of their ``Fraction`` flux.  It glues the
+witness, checks it against the target and validates each component.
 
 A cell record depends only on content, so each search reads and fills a
 memo of cell records.  Every search runs through a comparer over data
@@ -260,6 +262,13 @@ def is_minimal(model: FormalPairModel, comp: RPlusComponent) -> bool:
     return zero.j == inf.j and zero.ell == inf.ell
 
 
+def _flux(comp: RPlusComponent):
+    """A component's zero-contact sum less its infinity-contact sum."""
+    return sum((m.contact for m in comp.zero), Rational(0)) - sum(
+        (m.contact for m in comp.infinity), Rational(0)
+    )
+
+
 def _validate_rplus_component(model: FormalPairModel, comp: RPlusComponent):
     if comp.genus < 0:
         raise DomainError("bubble component genus must be nonnegative")
@@ -274,9 +283,7 @@ def _validate_rplus_component(model: FormalPairModel, comp: RPlusComponent):
             raise DomainError(f"infinity marking on {m.sector!r}: {exc}") from exc
     for m in comp.zero:
         model.validate_relative_marking(m)
-    flux = sum((m.contact for m in comp.zero), Rational(0)) - sum(
-        (m.contact for m in comp.infinity), Rational(0)
-    )
+    flux = _flux(comp)
     if flux < 0:
         raise DomainError(
             "bubble component decreases contact (its horizontal class would be anti-effective)"
@@ -300,14 +307,16 @@ def n_minimal_companion(rd: RelativeData) -> NMinimalData:
     return NMinimalData(tuple(rd.relative_markings()))
 
 
+def _fiber_block(model: FormalPairModel, host_markings, zero) -> RPlusComponent:
+    """The genus-zero block of the zero class without ambient markings that
+    meets ``host_markings`` dually at infinity and carries ``zero``."""
+    infinity = [model.dual_marking(m) for m in host_markings]
+    return RPlusComponent(0, [0] * model.rank, (), infinity, zero)
+
+
 def companion_rplus(model: FormalPairModel, companion: NMinimalData) -> list[RPlusComponent]:
     """Realize a minimal bubble datum as gluable components."""
-    return [
-        RPlusComponent(
-            genus=0, cls=[0] * model.rank, infinity=(model.dual_marking(m),), zero=(m,)
-        )
-        for m in companion.components
-    ]
+    return [_fiber_block(model, (m,), (m,)) for m in companion.components]
 
 
 class _UnionFind:
@@ -441,6 +450,21 @@ def _class_gap(P, c2comp):
     return tuple(c - sum(p.cls[i] for p in P) for i, c in enumerate(c2comp.cls))
 
 
+def _cell_budget(P, c2comp):
+    """``(slack0, extra)`` of hosts ``P`` glued into ``c2comp``, or None when
+    the hosts carry an ambient marking the target lacks.  With q blocks the
+    blocks' genus is ``slack0 + q`` (the target's genus less the hosts' and
+    the matching graph's first Betti number); ``extra`` lists the target's
+    ambient markings that no host carries."""
+    abs_host = Counter(m for p in P for m in p.absolute)
+    abs_target = Counter(c2comp.absolute)
+    if abs_host - abs_target:
+        return None
+    n_tags = sum(len(p.relative) for p in P)
+    slack0 = c2comp.genus - sum(p.genus for p in P) - n_tags + len(P) - 1
+    return slack0, list((abs_target - abs_host).elements())
+
+
 def _cell_record(model, P, c2comp) -> _CellRecord:
     """Enumerate, in one pass, the bubble arrangements gluing the host
     components ``P`` (a tuple, in host order) into the target component
@@ -465,12 +489,10 @@ def _cell_record(model, P, c2comp) -> _CellRecord:
         # one standalone block carrying the whole target component
         return _CellRecord(_Arrangement(((),), (0,) * len(zeros)), None, None)
 
-    abs_host = Counter(m for p in P for m in p.absolute)
-    abs_target = Counter(c2comp.absolute)
-    if abs_host - abs_target:
+    budget = _cell_budget(P, c2comp)
+    if budget is None:
         return _CellRecord(None, None, None)
-    n_abs_extra = (abs_target - abs_host).total()
-    base_genus = sum(p.genus for p in P)
+    slack0, n_abs_extra = budget[0], len(budget[1])
     tags = _host_tags(P)
     # contacts as integers over one common denominator
     contacts = [m.contact for _, m in tags] + [m.contact for m in zeros]
@@ -496,8 +518,7 @@ def _cell_record(model, P, c2comp) -> _CellRecord:
                     reach, grown = reach | bits, True
         if reach != everyone:
             continue
-        b1 = len(tags) - (len(P) + q) + 1
-        slack = c2comp.genus - base_genus - b1
+        slack = slack0 + q
         if slack < 0:
             continue
         resources = slack + n_abs_extra
@@ -546,71 +567,49 @@ def _cell_blocks(model, comps1, p_indices, c2comp, arrangement, free):
     """Build the bubble components of one cell arrangement.
 
     Returns ``(components, hosts)``, with ``hosts[k]`` the host indices the
-    infinity markings of ``components[k]`` attach to.  With ``free`` the
-    arrangement is a free one of ``_cell_record``, and classes, genera and
-    extra ambient markings are spread over its blocks; otherwise every block
-    is pre-minimal and carries the zero class."""
+    infinity markings of ``components[k]`` attach to.  Every block starts as
+    a fiber block, pre-minimal unless ``free``; in a free arrangement of
+    ``_cell_record`` the blocks that are not pre-minimal (else block 0) take
+    the cell's genus, extra ambient markings and class."""
     P = [comps1[i] for i in p_indices]
-    tags = [(p_indices[pos], m) for pos, m in _host_tags(P)]
-    parts = [[tags[t] for t in part] for part in arrangement.parts]
-    hosts = [[ci for ci, _m in part] for part in parts]
-    infinity = [[model.dual_marking(m) for _ci, m in part] for part in parts]
-    block_zeros = [[] for _ in parts]
+    tags = _host_tags(P)
+    hosts = [[p_indices[tags[t][0]] for t in part] for part in arrangement.parts]
+    block_zeros = [[] for _ in arrangement.parts]
     for z, k in zip(c2comp.relative, arrangement.assign):
         block_zeros[k].append(z)
-    zero = [0] * model.rank
-    if not free:
-        return [
-            RPlusComponent(0, zero, (), inf, zeros) for inf, zeros in zip(infinity, block_zeros)
-        ], hosts
-    q = len(parts)
-    b1 = len(tags) - (len(P) + q) + 1
-    slack_left = c2comp.genus - sum(p.genus for p in P) - b1
-    abs_host = Counter(m for p in P for m in p.absolute)
-    abs_left = list((Counter(c2comp.absolute) - abs_host).elements())
-    # True/False for one-one blocks (matched ends or not), None otherwise
-    matched = [
-        zeros[0].sector == part[0][1].sector and zeros[0].contact == part[0][1].contact
-        if len(part) == 1 and len(zeros) == 1
-        else None
-        for part, zeros in zip(parts, block_zeros)
+    blocks = [
+        _fiber_block(model, [tags[t][1] for t in part], zeros)
+        for part, zeros in zip(arrangement.parts, block_zeros)
     ]
-    genus_extra = [0] * q
-    abs_assign = [[] for _ in range(q)]
-    for k in range(q):
-        # a mismatched one-one block needs genus or an ambient marking
-        if matched[k] is False:
+    if not free:
+        return blocks, hosts
+    slack0, abs_left = _cell_budget(P, c2comp)
+    slack_left = slack0 + len(blocks)
+    pre_minimal = [is_pre_minimal(model, block) for block in blocks]
+    genus_extra = [0] * len(blocks)
+    abs_assign = [[] for _ in blocks]
+    for k, block in enumerate(blocks):
+        # a fiber-pattern block with mismatched ends needs genus or an ambient marking
+        if _is_fiber_pattern(block) and not pre_minimal[k]:
             if slack_left > 0:
                 genus_extra[k] += 1
                 slack_left -= 1
             else:
                 abs_assign[k].append(abs_left.pop())
-    free_blocks = [k for k in range(q) if not matched[k] or genus_extra[k] or abs_assign[k]]
-    if not free_blocks:
-        # promote one matched block by giving it the leftovers
-        if slack_left > 0:
-            genus_extra[0] += 1
-            slack_left -= 1
-        else:
-            abs_assign[0].append(abs_left.pop())
-        free_blocks = [0]
+    # if every block is pre-minimal, block 0 takes the leftovers a free arrangement has
+    free_blocks = [k for k in range(len(blocks)) if not pre_minimal[k]] or [0]
     sink = free_blocks[0]
     genus_extra[sink] += slack_left
     abs_assign[sink].extend(abs_left)
-    classes = []
-    for k in range(q):
-        if k in free_blocks:
-            flux = sum((z.contact for z in block_zeros[k]), Rational(0)) - sum(
-                (m.contact for _ci, m in parts[k]), Rational(0)
-            )
-            classes.append([flux * x for x in model.unit_pairing])
-        else:
-            classes.append(zero)
+    classes = [
+        [_flux(block) * x for x in model.unit_pairing] if k in free_blocks else block.cls
+        for k, block in enumerate(blocks)
+    ]
     remainder = [t - sum(col) for t, col in zip(_class_gap(P, c2comp), zip(*classes))]
     classes[sink] = [c + r for c, r in zip(classes[sink], remainder)]
     return [
-        RPlusComponent(genus_extra[k], classes[k], abs_assign[k], infinity[k], block_zeros[k])
-        for k in range(q)
+        RPlusComponent(genus_extra[k], classes[k], abs_assign[k], block.infinity, block.zero)
+        for k, block in enumerate(blocks)
     ], hosts
 
 
@@ -811,17 +810,15 @@ def order_from_matrix(items, strict) -> list[int]:
     Package-internal, shared with the CLI, which also reports the matrix;
     not exported.
     """
-    remaining = set(range(len(items)))
+    # by canonical key, then input position; pick the first with no strict predecessor left
+    remaining = sorted(range(len(items)), key=lambda i: (items[i].sort_key(), i))
     order = []
     while remaining:
-        ready = [
-            i
-            for i in remaining
-            if not any(j in remaining and strict[j][i] for j in remaining if j != i)
-        ]
-        if not ready:
+        pick = next(
+            (i for i in remaining if not any(strict[j][i] for j in remaining if j != i)), None
+        )
+        if pick is None:
             raise PosetCycleError("comparison relation contains a cycle")
-        pick = min(ready, key=lambda i: (items[i].sort_key(), i))
         order.append(pick)
         remaining.remove(pick)
     return order

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, SchemaError, SectorError
+from .errors import DomainError, SchemaError
 from .local_model import LocalModel
 from .ranking import lambda_preimages, require_fiber_label, window
 from .rationals import Rational, _parse_int, format_rational, frac, parse_rational
@@ -529,10 +529,11 @@ class FormalPairModel:
                 raise SchemaError(f"phase of {z.bar!r} must be the negated phase of {z.name!r}")
             n_values.add(z.local_model.n)
             by_pi.setdefault(z.pi, []).append(z)
-            try:
-                support = z.local_model.sector_support(z.local_model.distinguished_sector(z.phase))
-            except SectorError:
-                raise SchemaError(f"phase of {z.name!r} is not a sector of its local model") from None
+            # the distinguished sector's support: one coordinate per preimage of the
+            # label in (0, 1] at this phase, so it is empty exactly off the sectors
+            support = lambda_preimages(z.local_model, z.phase or 1)
+            if not support:
+                raise SchemaError(f"phase of {z.name!r} is not a sector of its local model")
             ell_max[z.name] = len(support) - 1
         for z in self.z_sectors:
             if ell_max[z.name] != ell_max[z.bar]:
@@ -756,9 +757,8 @@ def enumerate_relative_data(
             for R, _mult in window(z.local_model, k):
                 if frac(R) != z.phase:
                     continue
-                ds = len(lambda_preimages(z.local_model, R)) - 1
                 for j in range(1, model.sigma_size(z.pi) + 1):
-                    for ell in range(ds + 1):
+                    for ell in range(model.ell_max(z.name) + 1):
                         marking_space.append(RelativeMarking(z.name, R, j, ell))
     abs_space = [AbsoluteMarking("ambient", name, 0) for name in model.k_classes]
 

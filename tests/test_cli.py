@@ -25,7 +25,7 @@ from wbcorr import (
 from wbcorr import correspondence as corr
 from wbcorr import invariants as inv
 from wbcorr import ranking as rank_ops
-from wbcorr.cli import VERB_OPERATIONS, main
+from wbcorr.cli import VERB_OPERATIONS, build_parser, main
 from wbcorr.rationals import floor_frac, format_rational, gen_factorial
 
 from conftest import PAIR_MODEL_B, PAIR_MODEL_C, PAIR_MODEL_CODIM1, random_local_model
@@ -520,6 +520,26 @@ def test_order_and_assemble(capsys, tmp_path, pair_model_path):
     assert matrix[1][0] == "5/7"
     assert matrix[1][1] == "2"
     assert matrix[0][1] == "0" and matrix[0][2] == "0" and matrix[1][2] == "0"
+
+
+def test_assemble_rejects_a_repeated_offdiag_position(capsys, tmp_path, pair_model_path):
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps(_chain_docs()))
+    od_path = tmp_path / "od.json"
+    # the same [row, col] twice, also when one index is written as a string
+    for second in ([1, 2, "3"], ["1", 2, "5/7"]):
+        od_path.write_text(json.dumps([[1, 2, "5/7"], second]))
+        code, out, err = run(
+            capsys, "assemble", "--pair-model", pair_model_path, "--data", str(data_path),
+            "--offdiag", str(od_path),
+        )
+        assert code == 2 and not out and err.count("\n") == 1
+        assert err.startswith(f"SchemaError: offdiag entry {second!r} repeats")
+
+
+def test_cap_default_is_the_library_default():
+    args = build_parser().parse_args(["order"])
+    assert args.max_components == corr.DEFAULT_MAX_COMPONENTS
 
 
 @pytest.mark.parametrize("doc", [PAIR_MODEL_B, PAIR_MODEL_C])

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from wbcorr import (
 )
 from wbcorr import correspondence as corr
 from wbcorr.correspondence import RPlusComponent, is_minimal, is_pre_minimal
-from wbcorr.errors import SearchLimitError
+from wbcorr.errors import PosetCycleError, SearchLimitError
 from wbcorr.pair_model import (
     AbsoluteMarking,
     ConnectedAbsoluteData,
@@ -425,6 +427,27 @@ def test_comparison_matrix_builds_no_witness(monkeypatch):
                     assert witness and validated == witness
 
 
+def test_witnesses_are_pinned_on_the_fixture_models(pm_a, pm_b, pm_c, pm_codim1):
+    # every ordered pair of one enumeration per fixture model, recorded as the
+    # witness's repr or the exception's type name; the digest pins them all
+    digest, pairs, witnesses = hashlib.sha256(), 0, 0
+    for model in (pm_a, pm_b, pm_c, pm_codim1):
+        data = enumerate_relative_data(
+            model, windows=(0, 1), genus_values=(0, 1), max_markings=2, components=2, limit=30
+        )
+        for a in data:
+            for b in data:
+                try:
+                    record = repr(find_precedence_witness(model, a, b, max_components=6))
+                except Exception as exc:
+                    record = type(exc).__name__
+                digest.update(record.encode())
+                pairs += 1
+                witnesses += record not in ("None", "SearchLimitError")
+    assert (pairs, witnesses) == (3600, 616)
+    assert digest.hexdigest() == "1bb656f8f7a45ca1647076bbab92412d376445c728461a852b518746111dc4ca"
+
+
 # -- linear extension and the matrix -------------------------------------------
 
 
@@ -451,6 +474,49 @@ def test_linear_extension_chain_reversed(pm_b):
     assert precedes(pm_b, rd1, rd2) and precedes(pm_b, rd2, rd3)
     assert linear_extension(pm_b, [rd3, rd2, rd1]) == [rd1, rd2, rd3]
     assert linear_extension_order(pm_b, [rd3, rd2, rd1]) == [2, 1, 0]
+
+
+class _Keyed:
+    """An item of ``order_from_matrix`` that counts its ``sort_key`` calls."""
+
+    calls = 0
+
+    def __init__(self, key):
+        self.key = key
+
+    def sort_key(self):
+        _Keyed.calls += 1
+        return self.key
+
+
+def _reference_order(items, strict):
+    # the minimum by (key, position) among the items with no strict
+    # predecessor left, round by round; None on a cycle
+    remaining, order = set(range(len(items))), []
+    while remaining:
+        ready = [i for i in remaining if not any(strict[j][i] for j in remaining if j != i)]
+        if not ready:
+            return None
+        order.append(min(ready, key=lambda i: (items[i].key, i)))
+        remaining.remove(order[-1])
+    return order
+
+
+def test_order_from_matrix_keys_each_item_once():
+    rng = random.Random(2)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        items = [_Keyed(rng.randint(0, 3)) for _ in range(n)]
+        density = rng.random() / 2
+        strict = [[i != j and rng.random() < density for j in range(n)] for i in range(n)]
+        expected = _reference_order(items, strict)
+        _Keyed.calls = 0
+        if expected is None:
+            with pytest.raises(PosetCycleError):
+                corr.order_from_matrix(items, strict)
+        else:
+            assert corr.order_from_matrix(items, strict) == expected
+            assert _Keyed.calls == n
 
 
 def test_default_coeff_rule_is_contact_product(pm_b):

@@ -1,5 +1,6 @@
 import copy
 import math
+import random
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbcorr import DomainError, FormalPairModel, SchemaError, enumerate_relative_data
+from wbcorr import (
+    DomainError,
+    FormalPairModel,
+    LocalModel,
+    SchemaError,
+    SectorError,
+    enumerate_relative_data,
+)
 from wbcorr import pair_model
 from wbcorr.correspondence import RPlusComponent
 from wbcorr.pair_model import (
@@ -23,9 +31,17 @@ from wbcorr.pair_model import (
     load_data,
     solve_exact,
 )
+from wbcorr.ranking import lambda_preimages, sector_dim
 from wbcorr.rationals import Rational as Q
 
-from conftest import PAIR_MODEL_A, PAIR_MODEL_B, PAIR_MODEL_CODIM1
+from conftest import (
+    PAIR_MODEL_A,
+    PAIR_MODEL_B,
+    PAIR_MODEL_C,
+    PAIR_MODEL_CODIM1,
+    random_local_model,
+    random_pair_model,
+)
 
 
 def _variant(doc, mutate):
@@ -133,6 +149,45 @@ def test_codim1_model_validation_rejects_undetermined_lattices(fz, message):
 def test_codim1_model_waives_fiber_positivity(pm_codim1):
     assert pm_codim1.codim == 1
     assert pm_codim1.zp(pm_codim1.f_class) == 0
+
+
+# Z_2 acting with weight 1 on C: the distinguished sector (1, 0) is not a sector
+M2_1 = {"r": 2, "beta": [1], "alpha": [1]}
+
+
+def test_loading_never_builds_an_isotropy_group(monkeypatch):
+    rng = random.Random(3)
+    docs = [PAIR_MODEL_A, PAIR_MODEL_B, PAIR_MODEL_C, PAIR_MODEL_CODIM1]
+    docs += [random_pair_model(rng) for _ in range(30)]  # drawing reads the sectors
+
+    def isotropy_group(model, i):
+        raise AssertionError("a pair model built an isotropy group")
+
+    monkeypatch.setattr(LocalModel, "isotropy_group", isotropy_group)
+    for doc in docs:
+        model = FormalPairModel.from_json(doc)
+        assert enumerate_relative_data(model, windows=(0, 1), limit=20)
+    off_sector = _variant(PAIR_MODEL_A, lambda d: d["z_sectors"][0].update(local_model=M2_1))
+    with pytest.raises(SchemaError, match="is not a sector of its local model"):
+        FormalPairModel.from_json(off_sector)
+
+
+def test_sector_support_is_the_label_preimages_on_drawn_models():
+    # the loader's route (the preimages of the label in (0, 1] at the phase)
+    # against the sector route, over every phase with the ladder's denominator
+    rng = random.Random(5)
+    for _ in range(60):
+        local = random_local_model(rng)
+        den = local.ladder.den
+        for p in range(den):
+            phase = Fraction(p, den)
+            label = phase or 1
+            try:
+                support = local.sector_support(local.distinguished_sector(phase))
+            except SectorError:
+                assert lambda_preimages(local, label) == []
+                continue
+            assert sector_dim(local, label) == len(support) - 1
 
 
 def test_lattice_operations(pm_b):
