@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
-One verb per module operation family; deterministic output (byte-identical
-for identical inputs), exact rationals serialized as ``p/q`` throughout.
-Exit codes: 0 success, 1 domain error, 2 I/O or parse error.
+One verb per module operation family, each parsing only the flags it reads;
+deterministic output (byte-identical for identical inputs), exact rationals
+serialized as ``p/q`` throughout.  Exit codes, each error with one stderr
+line: 0 success, 1 domain error, 2 I/O or parse error (a bad command line too).
 """
 
 from __future__ import annotations
@@ -27,23 +28,25 @@ from .rationals import (
     parse_rational,
 )
 
-# Operation families reachable from each verb (coverage-tested).
+# Operation families each verb calls, directly or through a private kernel (tested).
 VERB_OPERATIONS = {
     "sectors": ["isotropy_group", "sector_index_set", "sector_support", "degree_shift", "d_top"],
     "degshift": ["degree_shift", "tau"],
     "rank": ["lambda_value", "lambda_preimages", "rk_pair", "sector_dim", "c_to_Rd", "rk_tilde"],
     "dims": ["window", "moduli_dim", "moduli_dim_oracle", "c_bounds", "tau"],
     "invariant": [
-        "h_invariant",
-        "h_prime_oracle",
         "relative_invariant",
+        "h_prime_oracle",
         "localization_sum",
         "gen_factorial",
         "floor_frac",
     ],
     "correspond": ["psi_forward", "psi_inverse", "n_minimal_companion"],
-    "order": ["precedes", "find_precedence_witness", "comparison_matrix", "linear_extension"],
-    "assemble": ["assemble_L", "default_coeff_rule"],
+    "order": ["comparison_matrix", "order_from_matrix"],
+    "assemble": [
+        "linear_extension", "assemble_L", "h_invariant",
+        "precedes", "find_precedence_witness", "default_coeff_rule",
+    ],
     "solve": ["solve_lower_triangular"],
 }
 
@@ -92,11 +95,23 @@ def _batch_json(doc) -> str:
     return '{\n  "results": [\n    {\n      ' + body + "\n    }\n  ]\n}"
 
 
-def _emit(args, doc, tsv_lines, to_json=_indent2_json):
+def _cell(value) -> str:
+    if not isinstance(value, list):
+        return str(value)
+    return (";" if value and isinstance(value[0], list) else ",").join(map(_cell, value))
+
+
+def _table(header, records):
+    """TSV rows: ``header``, then each record's fields in header order.  A list
+    field is joined with ``,``, a list of lists with ``;`` between its rows."""
+    return [header] + [[_cell(record[field]) for field in header] for record in records]
+
+
+def _emit(args, doc, tsv_rows, to_json=_indent2_json):
     if args.format == "json":
         text = to_json(doc) + "\n"
     else:
-        text = "\n".join(tsv_lines) + "\n"
+        text = "\n".join("\t".join(row) for row in tsv_rows) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -110,16 +125,14 @@ def _emit(args, doc, tsv_lines, to_json=_indent2_json):
 
 def _cmd_sectors(args):
     model = _load_model(args)
-    rows = [["b", "phase", "degshift", "support"]]
     sectors = []
     for delta in model.sector_index_set():
         phase = format_rational(delta.R)
         shift = format_rational(model.degree_shift(delta.b, delta.R))
         support = sorted(model.sector_support(delta))
         sectors.append({"b": delta.b, "phase": phase, "degshift": shift, "support": support})
-        rows.append([str(delta.b), phase, shift, ",".join(map(str, support))])
     doc = {"d_top": model.d_top(), "n": model.n, "sectors": sectors}
-    _emit(args, doc, ["\t".join(r) for r in rows])
+    _emit(args, doc, _table(["b", "phase", "degshift", "support"], sectors))
 
 
 def _cmd_degshift(args):
@@ -128,11 +141,9 @@ def _cmd_degshift(args):
         raise DomainError("degshift needs --R")
     R = parse_rational(args.R)
     b = args.b if args.b is not None else 1 % model.r
-    label, shift = format_rational(R), format_rational(model.degree_shift(b, R))
-    taus = [format_rational(model.tau(R, u)) for u in range(1, model.n + 1)]
-    doc = {"b": b, "R": label, "degshift": shift, "tau": taus}
-    rows = [["b", "R", "degshift", "tau"], [str(b), label, shift, ",".join(taus)]]
-    _emit(args, doc, ["\t".join(r) for r in rows])
+    doc = {"b": b, "R": format_rational(R), "degshift": format_rational(model.degree_shift(b, R))}
+    doc["tau"] = [format_rational(model.tau(R, u)) for u in range(1, model.n + 1)]
+    _emit(args, doc, _table(list(doc), [doc]))
 
 
 def _cmd_rank(args):
@@ -140,7 +151,6 @@ def _cmd_rank(args):
     if args.c is not None:
         R, d = rank_ops.c_to_Rd(model, args.c)
         doc = {"c": args.c, "R": format_rational(R), "d": d, "rank": rank_ops.rk_tilde(model, R, d)}
-        rows = [["c", "R", "d", "rank"], [str(args.c), doc["R"], str(d), str(doc["rank"])]]
     elif args.R is not None:
         R = parse_rational(args.R)
         strict, weak = rank_ops.rk_pair(model, R)
@@ -155,33 +165,22 @@ def _cmd_rank(args):
             "sector_dim": rank_ops.sector_dim(model, R),
             "preimages": [[j, a] for j, a in pre],
         }
-        rows = [
-            ["R", "rk_strict", "rk_weak", "sector_dim", "preimages"],
-            [
-                format_rational(R),
-                str(strict),
-                str(weak),
-                str(doc["sector_dim"]),
-                ";".join(f"{j},{a}" for j, a in pre),
-            ],
-        ]
     else:
         raise DomainError("rank needs --R or --c")
-    _emit(args, doc, ["\t".join(r) for r in rows])
+    _emit(args, doc, _table(list(doc), [doc]))
 
 
 def _cmd_dims(args):
     model = _load_model(args)
     if args.k is not None:
-        rows = [["R", "multiplicity", "dim", "dim_oracle"]]
         entries = []
         for R, mult in rank_ops.window(model, args.k):
             dim = rank_ops.moduli_dim(model, R)
             oracle = rank_ops.moduli_dim_oracle(model, R)
             label = format_rational(R)
             entries.append({"R": label, "multiplicity": mult, "dim": dim, "dim_oracle": oracle})
-            rows.append([label, str(mult), str(dim), str(oracle)])
         doc = {"k": args.k, "window": entries}
+        rows = _table(["R", "multiplicity", "dim", "dim_oracle"], entries)
     elif args.R is not None:
         R = parse_rational(args.R)
         c_min, c_max = rank_ops.c_bounds(model, R)
@@ -193,19 +192,10 @@ def _cmd_dims(args):
             "c_max": [format_rational(c) for c in c_max],
             "tau": [format_rational(model.tau(R, u)) for u in range(1, model.n + 1)],
         }
-        rows = [
-            ["R", "dim", "dim_oracle", "c_min", "c_max"],
-            [
-                format_rational(R),
-                str(doc["dim"]),
-                str(doc["dim_oracle"]),
-                ",".join(doc["c_min"]),
-                ",".join(doc["c_max"]),
-            ],
-        ]
+        rows = _table(["R", "dim", "dim_oracle", "c_min", "c_max"], [doc])
     else:
         raise DomainError("dims needs --R or --k")
-    _emit(args, doc, ["\t".join(r) for r in rows])
+    _emit(args, doc, rows)
 
 
 def _invariant_entry(model, c, i, j, d, factorials):
@@ -277,12 +267,12 @@ def _cmd_invariant(args):
                 detail = f"c={entry['c']},R={entry['R']},d={entry['d']}"
             entries.append(entry)
             rows.append([str(idx), entry["kind"], entry["value"], detail])
-        _emit(args, {"results": entries}, ["\t".join(r) for r in rows], _batch_json)
+        _emit(args, {"results": entries}, rows, _batch_json)
         return
     if args.c is None or args.i is None or args.j is None:
         raise DomainError("invariant needs --c, --i, --j (or --data for batch mode)")
     entry = _invariant_entry(model or _load_model(args), args.c, args.i, args.j, args.d, {})
-    _emit(args, entry, [entry["value"]])
+    _emit(args, entry, [[entry["value"]]])
 
 
 def _cmd_correspond(args):
@@ -311,7 +301,7 @@ def _cmd_correspond(args):
                 ";".join(map(cell, getattr(comp, last))),
             ]
         )
-    _emit(args, doc, ["\t".join(r) for r in rows])
+    _emit(args, doc, rows)
 
 
 def _cmd_order(args):
@@ -324,7 +314,7 @@ def _cmd_order(args):
     doc = {"order": order, "strict_comparable_pairs": sum(map(sum, strict))}
     rows = [["position", "input_index"]]
     rows += [[str(pos), str(idx)] for pos, idx in enumerate(order)]
-    _emit(args, doc, ["\t".join(r) for r in rows])
+    _emit(args, doc, rows)
 
 
 def _cmd_assemble(args):
@@ -361,7 +351,7 @@ def _cmd_assemble(args):
     doc = {"order": order, "matrix": matrix}
     rows = [["order", " ".join(map(str, order))]]
     rows += [[f"row{i}"] + matrix[i] for i in range(len(matrix))]
-    _emit(args, doc, ["\t".join(r) for r in rows])
+    _emit(args, doc, rows)
 
 
 def _cmd_solve(args):
@@ -376,56 +366,67 @@ def _cmd_solve(args):
     v = [parse_rational(x) for x in vector]
     x = corr.solve_lower_triangular(L, v)
     doc = {"solution": [format_rational(value) for value in x]}
-    _emit(args, doc, [format_rational(value) for value in x])
+    _emit(args, doc, [[value] for value in doc["solution"]])
 
 
-_HANDLERS = {
-    "sectors": _cmd_sectors,
-    "degshift": _cmd_degshift,
-    "rank": _cmd_rank,
-    "dims": _cmd_dims,
-    "invariant": _cmd_invariant,
-    "correspond": _cmd_correspond,
-    "order": _cmd_order,
-    "assemble": _cmd_assemble,
-    "solve": _cmd_solve,
+#: Every flag of the command line, with its ``add_argument`` keywords.
+_FLAGS = {
+    "--model": {"help": "local model JSON file"},
+    "--pair-model": {"help": "pair model JSON file"},
+    "--data": {"help": "data JSON file (single datum, list, or batch queries)"},
+    "--matrix": {"help": "matrix JSON file (arrays of p/q strings)"},
+    "--vector": {"help": "vector JSON file (array of p/q strings)"},
+    "--offdiag": {"help": "off-diagonal entries JSON file ([row, col, value])"},
+    "--c": {"type": int, "help": "descendent power"},
+    "--R": {"help": "fiber-class label (p/q)"},
+    "--d": {"type": int, "help": "H-power"},
+    "--i": {"type": int, "help": "basis index at the origin marking"},
+    "--j": {"type": int, "help": "basis index at the divisor marking"},
+    "--k": {"type": int, "help": "window index"},
+    "--b": {"type": int, "help": "sector b-component (degshift)"},
+    "--coeff": {"choices": ["product", "one"], "default": "product"},
+    "--max-components": {"type": int, "default": corr.DEFAULT_MAX_COMPONENTS},
+    "--format": {"choices": ["tsv", "json"], "default": "tsv"},
+    "--out": {"help": "output path (default: stdout)"},
 }
+
+#: Each verb's handler and the flags it reads besides ``--format`` and ``--out``.
+_VERBS = {
+    "sectors": (_cmd_sectors, "--model"),
+    "degshift": (_cmd_degshift, "--model --R --b"),
+    "rank": (_cmd_rank, "--model --R --c"),
+    "dims": (_cmd_dims, "--model --R --k"),
+    "invariant": (_cmd_invariant, "--model --data --c --i --j --d"),
+    "correspond": (_cmd_correspond, "--pair-model --data"),
+    "order": (_cmd_order, "--pair-model --data --max-components"),
+    "assemble": (_cmd_assemble, "--pair-model --data --offdiag --coeff --max-components"),
+    "solve": (_cmd_solve, "--matrix --vector"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ``SchemaError``, not a usage dump."""
+
+    def error(self, message):
+        raise SchemaError(message)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared for the process."""
-    parser = argparse.ArgumentParser(
-        prog="wbcorr",
-        description="Exact weighted-blowup correspondence computations.",
-    )
+    parser = _Parser(prog="wbcorr", description="Exact weighted-blowup correspondence computations.")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in _HANDLERS:
-        p = sub.add_parser(verb)
-        p.add_argument("--model", help="local model JSON file")
-        p.add_argument("--pair-model", dest="pair_model", help="pair model JSON file")
-        p.add_argument("--data", help="data JSON file (single datum, list, or batch queries)")
-        p.add_argument("--matrix", help="matrix JSON file (arrays of p/q strings)")
-        p.add_argument("--vector", help="vector JSON file (array of p/q strings)")
-        p.add_argument("--offdiag", help="off-diagonal entries JSON file ([row, col, value])")
-        p.add_argument("--c", type=int, help="descendent power")
-        p.add_argument("--R", help="fiber-class label (p/q)")
-        p.add_argument("--d", type=int, help="H-power")
-        p.add_argument("--i", type=int, help="basis index at the origin marking")
-        p.add_argument("--j", type=int, help="basis index at the divisor marking")
-        p.add_argument("--k", type=int, help="window index")
-        p.add_argument("--b", type=int, help="sector b-component (degshift)")
-        p.add_argument("--coeff", choices=["product", "one"], default="product")
-        p.add_argument("--max-components", type=int, default=corr.DEFAULT_MAX_COMPONENTS)
-        p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-        p.add_argument("--out", help="output path (default: stdout)")
+    for verb, (_, flags) in _VERBS.items():
+        p = sub.add_parser(verb, allow_abbrev=False)  # so --d never reads as --data
+        for flag in f"{flags} --format --out".split():
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _HANDLERS[args.verb](args)
+        args = build_parser().parse_args(argv)
+        _VERBS[args.verb][0](args)
     except DomainError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -173,15 +173,22 @@ class LocalModel:
                 out.add(SectorIndex(b, phase))
         return out
 
+    @cached_property
+    def _supports(self) -> dict[SectorIndex, frozenset[int]]:
+        """Each sector's support ``{i : delta in G_i}``, in canonical sector
+        order; built once per model from the n isotropy groups."""
+        supports = {}
+        for i in range(1, self.n + 1):
+            for delta in self.isotropy_group(i):
+                supports.setdefault(delta, set()).add(i)
+        return {delta: frozenset(supports[delta]) for delta in sorted(supports)}
+
     def sector_index_set(self) -> list[SectorIndex]:
         """All twisted-sector indices, canonically sorted.
 
         The index set is the union of the coordinate isotropy groups.
         """
-        out = set()
-        for i in range(1, self.n + 1):
-            out |= self.isotropy_group(i)
-        return sorted(out)
+        return list(self._supports)
 
     def sector_support(self, delta: SectorIndex) -> set[int]:
         """Coordinates fixed by the sector: ``I(delta) = {i : delta in G_i}``.
@@ -189,10 +196,10 @@ class LocalModel:
         Raises SectorError when ``delta`` is not a sector of this model
         (equivalently, when the support would be empty).
         """
-        support = {i for i in range(1, self.n + 1) if delta in self.isotropy_group(i)}
-        if not support:
+        support = self._supports.get(delta)
+        if support is None:
             raise SectorError(f"{delta} is not a twisted sector of this model")
-        return support
+        return set(support)
 
     def tau(self, R, u: int):
         """The shifted weight ``-beta_u / r + alpha_u R`` (exact)."""

@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -29,6 +31,7 @@ from wbcorr.cli import VERB_OPERATIONS, build_parser, main
 from wbcorr.rationals import floor_frac, format_rational, gen_factorial
 
 from conftest import PAIR_MODEL_B, PAIR_MODEL_C, PAIR_MODEL_CODIM1, random_local_model
+from test_cli_fuzz import VERBS
 
 M2_DOC = {"r": 2, "beta": [1, 2], "alpha": [1, 1]}
 
@@ -87,6 +90,123 @@ def test_every_operation_reachable_from_a_verb():
     covered = {op for ops in VERB_OPERATIONS.values() for op in ops}
     missing = [op for op in SPEC_OPERATIONS if op not in covered]
     assert not missing, f"operations without a CLI verb: {missing}"
+
+
+#: The private kernel through which a verb reaches a listed operation.
+KERNELS = {
+    "relative_invariant": "_ranked_invariant",
+    "h_prime_oracle": "_h_prime_of_label",
+    "linear_extension": "linear_extension_order",
+}
+
+
+def test_each_verb_calls_the_operations_it_lists(capsys, tmp_path, monkeypatch):
+    # every binding of each listed name (or its kernel) is wrapped, and one
+    # request per verb shape must call each name its verb lists
+    shapes = dict(VERBS)
+    shapes["rank-R"] = (["--R", "1/2"], VERBS["rank"][1])
+    shapes["dims-R"] = (["--R", "1/2"], VERBS["dims"][1])
+    names = {KERNELS.get(op, op) for ops in VERB_OPERATIONS.values() for op in ops}
+    called = set()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    methods = names & set(vars(LocalModel))
+    for name in methods:
+        monkeypatch.setattr(LocalModel, name, counted(name, vars(LocalModel)[name]))
+    for module in [mod for key, mod in sys.modules.items() if key.split(".")[0] == "wbcorr"]:
+        for attr, value in list(vars(module).items()):
+            if callable(value) and getattr(value, "__name__", None) in names - methods:
+                monkeypatch.setattr(module, attr, counted(value.__name__, value))
+    reached = {verb: set() for verb in VERB_OPERATIONS}
+    for shape, (fixed, files) in shapes.items():
+        argv = [shape.split("-")[0], *fixed]
+        for flag, doc in files:
+            path = tmp_path / f"{shape}{flag}.json"
+            path.write_text(json.dumps(doc))
+            argv += [flag, str(path)]
+        called.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (shape, err)
+        reached[argv[0]] |= called
+    for verb, ops in VERB_OPERATIONS.items():
+        assert [op for op in ops if KERNELS.get(op, op) not in reached[verb]] == [], verb
+
+
+#: The flags each verb reads, besides --format and --out.
+VERB_FLAGS = {
+    "sectors": "--model",
+    "degshift": "--model --R --b",
+    "rank": "--model --R --c",
+    "dims": "--model --R --k",
+    "invariant": "--model --data --c --i --j --d",
+    "correspond": "--pair-model --data",
+    "order": "--pair-model --data --max-components",
+    "assemble": "--pair-model --data --offdiag --coeff --max-components",
+    "solve": "--matrix --vector",
+}
+
+
+def test_each_verb_takes_only_the_flags_it_reads(capsys):
+    every = {flag for flags in VERB_FLAGS.values() for flag in flags.split()}
+    # 46 verb/flag pairs with --format and --out, of the 9 x 17 that every verb once took
+    assert sum(len(flags.split()) + 2 for flags in VERB_FLAGS.values()) == 46
+    for verb, flags in VERB_FLAGS.items():
+        with pytest.raises(SystemExit) as stop:
+            main([verb, "--help"])
+        assert stop.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", capsys.readouterr().out))
+        assert listed == {*flags.split(), "--format", "--out", "-h", "--help"}, verb
+        # a flag of another verb, or a prefix of one of its own, is not read
+        for flag in sorted(every - set(flags.split())) + ["--mod", "--form"]:
+            code, out, err = run(capsys, verb, flag, "1")
+            assert code == 2 and not out, (verb, flag)
+            assert err == f"SchemaError: unrecognized arguments: {flag} 1\n", (verb, flag)
+
+
+def test_a_malformed_command_line_is_one_schema_error(capsys, model_path, tmp_path):
+    mpath, vpath = tmp_path / "L.json", tmp_path / "v.json"
+    mpath.write_text(json.dumps([["1"]]))
+    vpath.write_text(json.dumps(["1"]))
+    for argv, message in (
+        (["rank", "--model", model_path, "--c", "x"], "argument --c: invalid int value: 'x'"),
+        (["sectors", "--model", model_path, "--foo", "1"], "unrecognized arguments: --foo 1"),
+        (["sector", "--model", model_path], "argument verb: invalid choice: 'sector' "),
+        ([], "the following arguments are required: verb"),
+        # argparse reads -1/3 as a flag; a negative label is written --R=-1/3
+        (["degshift", "--model", model_path, "--R", "-1/3"], "argument --R: expected one argument"),
+        (
+            ["solve", "--matrix", str(mpath), "--vector", str(vpath), "--model", model_path],
+            f"unrecognized arguments: --model {model_path}",
+        ),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and err.count("\n") == 1, argv
+        assert err.startswith(f"SchemaError: {message}"), err
+    code, out, _ = run(capsys, "degshift", "--model", model_path, "--R=-1/3", "--format", "json")
+    assert code == 0 and json.loads(out)["R"] == "-1/3"
+
+
+def test_sectors_builds_each_isotropy_group_once(capsys, tmp_path, monkeypatch):
+    calls = Counter()
+    isotropy_group = LocalModel.isotropy_group
+
+    def counted(model, i):
+        calls[i] += 1
+        return isotropy_group(model, i)
+
+    monkeypatch.setattr(LocalModel, "isotropy_group", counted)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"r": 4, "beta": [1, 2, 4], "alpha": [3, 1, 2]}))
+    for fmt in ("tsv", "json"):
+        calls.clear()
+        code, _, _ = run(capsys, "sectors", "--model", str(path), "--format", fmt)
+        assert code == 0 and calls == {1: 1, 2: 1, 3: 1}
 
 
 def test_sectors_table(capsys, model_path):
@@ -703,6 +823,46 @@ def test_byte_determinism(capsys, model_path, tmp_path, pair_model_path):
         )
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def _drawn_label(rng, model):
+    """A ladder label ``(beta_j + a r) / (alpha_j r)``, possibly with ``a = -1``,
+    or a small fraction that is usually off the label image."""
+    if rng.random() < 0.3:
+        return format_rational(Fraction(rng.randint(-2, 9), rng.randint(1, 5)))
+    j = rng.randrange(model.n)
+    a = rng.randint(-1, 2 * model.alpha[j])
+    return format_rational(Fraction(model.beta[j] + a * model.r, model.alpha[j] * model.r))
+
+
+def test_model_verbs_are_pinned_on_drawn_models(capsys, tmp_path):
+    # the verbs the benchmark does not run, in both formats, error exits
+    # included; the digest was taken before the TSV tables were derived from
+    # the JSON documents
+    rng, digest, runs = random.Random(5), hashlib.sha256(), 0
+    path = tmp_path / "m.json"
+    for _ in range(50):
+        model = random_local_model(rng)
+        path.write_text(json.dumps(model.to_json()))
+        R1, R2, R3 = (_drawn_label(rng, model) for _ in range(3))
+        c, k, b = rng.randint(-1, 3 * model.weight_total), rng.randint(0, 2), rng.randint(0, model.r)
+        for argv in (
+            ["sectors"],
+            ["degshift", f"--R={R1}"],
+            ["degshift", f"--R={R1}", "--b", str(b)],
+            ["rank", f"--c={c}"],
+            ["rank", f"--R={R2}"],
+            ["dims", "--k", str(k)],
+            ["dims", f"--R={R3}"],
+            ["rank"],
+            ["dims"],
+        ):
+            for fmt in ("tsv", "json"):
+                code, out, err = run(capsys, *argv, "--model", str(path), "--format", fmt)
+                digest.update(repr((argv, fmt, code, out, err)).encode())
+                runs += 1
+    assert runs == 900
+    assert digest.hexdigest()[:16] == "6573075d658146ef"
 
 
 def test_out_file(capsys, model_path, tmp_path):

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from wbcorr import LocalModel, SchemaError, SectorError, SectorIndex
 from wbcorr.local_model import degree_shift_of_label
 from wbcorr.rationals import Rational as Q
 from wbcorr.rationals import frac
+
+from conftest import random_local_model
 
 M2 = LocalModel(r=2, beta=(1, 2), alpha=(1, 1))
 M1 = LocalModel(r=1, beta=(1,), alpha=(1,))
@@ -50,13 +54,17 @@ def test_sector_support_rejects_foreign_sector():
 
 
 def test_support_membership_iff_in_some_group():
-    for model in [M2, LocalModel(r=3, beta=(1, 2, 3), alpha=(2, 1, 1))]:
+    rng = random.Random(11)
+    drawn = [random_local_model(rng, max_r=12) for _ in range(40)]
+    for model in [M2, LocalModel(r=3, beta=(1, 2, 3), alpha=(2, 1, 1)), *drawn]:
+        groups = [model.isotropy_group(i) for i in range(1, model.n + 1)]
+        assert model.sector_index_set() == sorted(set().union(*groups))
         for delta in model.sector_index_set():
             support = model.sector_support(delta)
             assert support
-            assert support == {
-                i for i in range(1, model.n + 1) if delta in model.isotropy_group(i)
-            }
+            assert support == {i for i in range(1, model.n + 1) if delta in groups[i - 1]}
+            support.clear()  # a fresh set each call
+            assert model.sector_support(delta)
 
 
 def test_tau_examples():
