@@ -58,7 +58,8 @@ one block, so the change in total contact is the sum of the blocks'
 fluxes, and effectivity makes each flux nonnegative.  A pair whose
 signatures break one of these rules has no witness and is never searched;
 the cap on bubble components is checked before that, so SearchLimitError
-does not depend on it.
+does not depend on it.  A comparer holds each total contact as an integer
+over its data's common denominator, so these tests build no ``Fraction``.
 
 A search tries each map from host components to target components.  A map
 splits the problem into cells: the hosts sent to one target component,
@@ -67,7 +68,14 @@ glued into it by bubble blocks.  One pass over a cell's arrangements
 target markings to blocks) records the first arrangement of each kind the
 search can use: one with a free block, one of pre-minimal blocks only, and
 one of minimal blocks only.  The pass reads contacts as integers over the
-cell's common denominator.  The search decides: it stops at the first map
+cell's common denominator, and two integer tests can skip it.  The blocks'
+fluxes sum to the cell's total flux, so a negative total leaves nothing to
+find.  And the number q of blocks is bounded: q blocks partition the host
+markings, each block needs a zero marking (its infinity contact is
+positive), and the blocks' genus, the cell's genus slack plus q, must be
+nonnegative.  The partitions come in a fixed order filtered to that range,
+so the first arrangement of each kind is the one the unbounded pass would
+record.  The search decides: it stops at the first map
 whose cell records admit a witness, and builds nothing, so
 ``comparison_matrix`` decides every pair from cell records alone.  Only
 ``find_precedence_witness`` (and ``precedes`` through it) builds the
@@ -408,15 +416,21 @@ def glue(model: FormalPairModel, rd: RelativeData, rplus) -> RelativeData:
 # the degeneration order
 
 
-def _set_partitions(items):
+def _set_partitions(items, lo, hi):
+    """The partitions of ``items`` into q blocks with ``lo <= q <= hi``, in
+    the order of the unbounded recursion."""
     if not items:
-        yield []
+        if lo <= 0 <= hi:
+            yield []
         return
     first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield [[first]] + part
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+    # a partition of the rest with b blocks gives one of b + 1 blocks, then b of b
+    for part in _set_partitions(rest, lo - 1, hi):
+        if len(part) < hi:
+            yield [[first]] + part
+        if len(part) >= lo:
+            for i in range(len(part)):
+                yield part[:i] + [[first] + part[i]] + part[i + 1 :]
 
 
 class _Arrangement(NamedTuple):
@@ -456,12 +470,14 @@ def _cell_budget(P, c2comp):
     blocks' genus is ``slack0 + q`` (the target's genus less the hosts' and
     the matching graph's first Betti number); ``extra`` lists the target's
     ambient markings that no host carries."""
+    n_tags = sum(len(p.relative) for p in P)
+    slack0 = c2comp.genus - sum(p.genus for p in P) - n_tags + len(P) - 1
+    if not any(p.absolute for p in P):
+        return slack0, list(c2comp.absolute)
     abs_host = Counter(m for p in P for m in p.absolute)
     abs_target = Counter(c2comp.absolute)
     if abs_host - abs_target:
         return None
-    n_tags = sum(len(p.relative) for p in P)
-    slack0 = c2comp.genus - sum(p.genus for p in P) - n_tags + len(P) - 1
     return slack0, list((abs_target - abs_host).elements())
 
 
@@ -473,11 +489,14 @@ def _cell_record(model, P, c2comp) -> _CellRecord:
     Arrangements run over set partitions of the host markings into blocks,
     then over assignments of the target markings to blocks, in a fixed
     order.  Contacts are integers over the cell's common denominator, so the
-    effectivity test never builds a ``Fraction``.  Stops at the first free
-    or the first all-minimal arrangement, since a cell never has both: an
-    all-pre-minimal arrangement exists only at the all-singleton partition
-    of a single host with slack 0, where every block needs exactly one zero
-    marking, so no block is free; every coarser partition has slack < 0.
+    effectivity test never builds a ``Fraction``.  A cell with negative
+    total flux or an empty block-count range is rejected before any
+    partition, and only partitions within the range are read.  Stops at
+    the first free or the first all-minimal arrangement, since a cell never
+    has both: an all-pre-minimal arrangement exists only at the
+    all-singleton partition of a single host with slack 0, where every
+    block needs exactly one zero marking, so no block is free; every
+    coarser partition has slack < 0.
     """
     # components without divisor markings cannot attach to anything
     if any(not p.relative for p in P):
@@ -489,23 +508,31 @@ def _cell_record(model, P, c2comp) -> _CellRecord:
         # one standalone block carrying the whole target component
         return _CellRecord(_Arrangement(((),), (0,) * len(zeros)), None, None)
 
-    budget = _cell_budget(P, c2comp)
-    if budget is None:
-        return _CellRecord(None, None, None)
-    slack0, n_abs_extra = budget[0], len(budget[1])
     tags = _host_tags(P)
     # contacts as integers over one common denominator
     contacts = [m.contact for _, m in tags] + [m.contact for m in zeros]
     denom = math.lcm(*(c.denominator for c in contacts))
     scaled = [c.numerator * (denom // c.denominator) for c in contacts]
     tag_int, zero_int = scaled[: len(tags)], scaled[len(tags) :]
+    # the blocks' fluxes sum to the total flux, and none may be negative
+    if sum(zero_int) < sum(tag_int):
+        return _CellRecord(None, None, None)
+    budget = _cell_budget(P, c2comp)
+    if budget is None:
+        return _CellRecord(None, None, None)
+    slack0, n_abs_extra = budget[0], len(budget[1])
+    n_zeros = len(zeros)
+    # q blocks partition the tags; each has positive infinity contact, so it
+    # needs a zero marking, and the blocks' genus slack0 + q is nonnegative
+    lo, hi = max(1, -slack0), min(len(tags), n_zeros)
+    if lo > hi:
+        return _CellRecord(None, None, None)
     tag_bit = [1 << pos for pos, _ in tags]
     everyone = (1 << len(P)) - 1
-    n_zeros = len(zeros)
     gap_is_zero = None  # whether the hosts already carry the target class
 
     with_b = pre_minimal = minimal = None
-    for parts in _set_partitions(list(range(len(tags)))):
+    for parts in _set_partitions(list(range(len(tags))), lo, hi):
         q = len(parts)
         # the hosts and blocks must form one connected component: grow the
         # set of hosts reached from the first block, one block at a time
@@ -518,10 +545,7 @@ def _cell_record(model, P, c2comp) -> _CellRecord:
                     reach, grown = reach | bits, True
         if reach != everyone:
             continue
-        slack = slack0 + q
-        if slack < 0:
-            continue
-        resources = slack + n_abs_extra
+        resources = slack0 + q + n_abs_extra
         inf_sums = [-sum(tag_int[t] for t in part) for part in parts]
         singles = [len(part) == 1 for part in parts]
         for assign in product(range(q), repeat=n_zeros):
@@ -643,18 +667,24 @@ class _Signature(NamedTuple):
     genus: int  # total genus
     ambient: Counter  # ambient markings
     nonempty: bool
-    contact: Rational  # total contact
+    contact: int  # total contact, over the common denominator of the data compared
 
 
-def _signature(rd: RelativeData) -> _Signature:
-    comps = rd.components
-    return _Signature(
-        sum(len(c.relative) for c in comps),
-        sum(c.genus for c in comps),
-        Counter(m for c in comps for m in c.absolute),
-        bool(comps),
-        sum((c.contact_sum() for c in comps), Rational(0)),
-    )
+def _signatures(items) -> list[_Signature]:
+    """The signatures of the data ``items``, their total contacts integers
+    over the common denominator of every contact in ``items``."""
+    contacts = [[m.contact for c in rd.components for m in c.relative] for rd in items]
+    denom = math.lcm(*(x.denominator for xs in contacts for x in xs))
+    return [
+        _Signature(
+            len(xs),
+            sum(c.genus for c in rd.components),
+            Counter(m for c in rd.components for m in c.absolute),
+            bool(rd.components),
+            sum(x.numerator * (denom // x.denominator) for x in xs),
+        )
+        for rd, xs in zip(items, contacts)
+    ]
 
 
 def _check_cap(sig1: _Signature, rd2: RelativeData, max_components: int):
@@ -670,12 +700,14 @@ def _check_cap(sig1: _Signature, rd2: RelativeData, max_components: int):
 def _rules_out(sig1: _Signature, sig2: _Signature) -> bool:
     """Whether the signatures alone show that no witness glues the first
     datum into the second: gluing never lowers total genus or total
-    contact, never removes an ambient marking, and never empties a datum."""
+    contact, never removes an ambient marking, and never empties a datum.
+    The ``Counter`` test runs last, and only when the first datum has an
+    ambient marking."""
     return (
         sig1.genus > sig2.genus
-        or bool(sig1.ambient - sig2.ambient)
-        or (sig1.nonempty and not sig2.nonempty)
         or sig1.contact > sig2.contact
+        or (sig1.nonempty and not sig2.nonempty)
+        or bool(sig1.ambient and sig1.ambient - sig2.ambient)
     )
 
 
@@ -684,7 +716,7 @@ def _comparer(model, items, max_components):
     ``_search`` for gluing ``items[i]`` into ``items[j]``, or None.  Checks
     the cap, then the signatures, then searches; all searches share one
     memo of cell records."""
-    sigs = [_signature(rd) for rd in items]
+    sigs = _signatures(items)
     ids: dict = {}
     keys = [tuple(ids.setdefault(c, len(ids)) for c in rd.components) for rd in items]
     cells: dict = {}

@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import tempfile
+import time
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -30,7 +31,13 @@ from wbcorr import ranking as rank_ops
 from wbcorr.cli import VERB_OPERATIONS, build_parser, main
 from wbcorr.rationals import floor_frac, format_rational, gen_factorial
 
-from conftest import PAIR_MODEL_B, PAIR_MODEL_C, PAIR_MODEL_CODIM1, random_local_model
+from conftest import (
+    PAIR_MODEL_A,
+    PAIR_MODEL_B,
+    PAIR_MODEL_C,
+    PAIR_MODEL_CODIM1,
+    random_local_model,
+)
 from test_cli_fuzz import VERBS
 
 M2_DOC = {"r": 2, "beta": [1, 2], "alpha": [1, 1]}
@@ -792,6 +799,36 @@ def test_cap_is_checked_before_the_signature(capsys, tmp_path, pair_model_path):
     )
     assert code == 1 and err.startswith("SearchLimitError") and err.count("\n") == 1
     assert "up to 3 bubble components (cap 2)" in err
+
+
+def test_order_merges_twelve_markings_within_its_budget(capsys, tmp_path):
+    # On model A, twelve divisor markings of contact 1 at genus 0 glue into
+    # one marking of contact 12 at genus 12 only through the one-block
+    # partition, the last one the unbounded partition order yields: without
+    # the block-count range this order ran 42 s on a 2-core host.  The range
+    # admits that partition alone, so 2 s leaves a wide margin.  Two more
+    # families stay open for the search-time item of ROADMAP.md, its
+    # assignment prunes and work budget: "split" (a genus-1 target with
+    # k + 1 markings of contact 1) and "no witness" (k markings on s0 into
+    # k markings on sb, model B).
+    k = 12
+    one = {"sector": "s", "contact": "1", "j": 1, "ell": 0}
+    many = {"genus": 0, "class": ["0", str(k)], "absolute": [], "relative": [one] * k}
+    merged = dict(many, genus=k, relative=[dict(one, contact=str(k))])
+    model_path, data_path = tmp_path / "pm.json", tmp_path / "data.json"
+    model_path.write_text(json.dumps(PAIR_MODEL_A))
+    data_path.write_text(
+        json.dumps([{"kind": "relative", "components": [c]} for c in (merged, many)])
+    )
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "order", "--pair-model", str(model_path), "--data", str(data_path),
+        "--format", "json",
+    )
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"order": [1, 0], "strict_comparable_pairs": 1}
+    assert elapsed < 2, f"order took {elapsed:.2f} s"
 
 
 def test_solve(capsys, tmp_path):

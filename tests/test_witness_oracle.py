@@ -25,9 +25,15 @@ A bubble datum is enumerated as
 (P2) rejects a datum whose components are all pre-minimal unless all are
 minimal.  Data are kept tiny (at most 3 divisor markings, genus at most 1,
 at most 2 components), so the enumeration stays small.
+
+The last tests hold the search's shortcuts to an unbounded reference
+enumeration of one cell (the hosts sent to one target component): a cell
+the search rejects before enumerating must have no arrangement at all, and
+every other cell must record the same first arrangements.
 """
 
 import functools
+import random
 from collections import Counter
 from itertools import permutations, product
 
@@ -42,17 +48,19 @@ from wbcorr import (
     glue,
     precedes,
 )
+from wbcorr import correspondence as corr
 from wbcorr.correspondence import (
     RPlusComponent,
     _rules_out,
-    _signature,
+    _set_partitions,
+    _signatures,
     is_minimal,
     is_pre_minimal,
 )
 from wbcorr.pair_model import ConnectedRelativeData, RelativeData, RelativeMarking
 from wbcorr.rationals import Rational as Q
 
-from conftest import PAIR_MODEL_B, PAIR_MODEL_C
+from conftest import PAIR_MODEL_B, PAIR_MODEL_C, random_pair_model
 
 
 def set_partitions(items):
@@ -298,7 +306,7 @@ def test_signature_rules_out_no_oracle_pair(name):
     """The prefilter is sound: the oracle finds no witness for any pair it
     rules out.  The pool has pairs that total contact alone rules out."""
     _, data, oracle = oracle_pool(name)
-    sigs = [_signature(rd) for rd in data]
+    sigs = _signatures(data)
     by_contact = 0
     for i in range(len(data)):
         for j in range(len(data)):
@@ -309,3 +317,143 @@ def test_signature_rules_out_no_oracle_pair(name):
             ):
                 by_contact += 1  # ruled out by total contact alone
     assert by_contact > len(data)
+
+
+def test_bounded_partitions_filter_the_unbounded_order():
+    # the search reads the first arrangement of each kind, so bounding the
+    # block count may drop partitions but must not reorder the rest
+    for n in range(8):
+        items = list(range(n))
+        every = list(set_partitions(items))
+        for lo in range(n + 2):
+            for hi in range(lo, n + 2):
+                expected = [part for part in every if lo <= len(part) <= hi]
+                assert list(_set_partitions(items, lo, hi)) == expected, (n, lo, hi)
+
+
+def reference_arrangements(P, c2comp):
+    """Every arrangement of the hosts ``P`` glued into ``c2comp`` that the
+    unbounded enumeration admits, in its order: a set partition of the host
+    markings into blocks, then an assignment of the target markings to
+    blocks, kept when hosts and blocks connect, the blocks' genus is
+    nonnegative and no block's flux is negative.  Yields ``(parts, assign,
+    resources)``: ``resources`` is that genus plus the number of the
+    target's ambient markings that no host carries."""
+    tags = [(pos, m) for pos, p in enumerate(P) for m in p.relative]
+    zeros = c2comp.relative
+    host_abs = Counter(m for p in P for m in p.absolute)
+    target_abs = Counter(c2comp.absolute)
+    if host_abs - target_abs:
+        return
+    extra = sum((target_abs - host_abs).values())
+    for parts in set_partitions(list(range(len(tags)))):
+        if len(glued_groups(len(P), [[tags[t] for t in part] for part in parts])) != 1:
+            continue
+        b1 = len(tags) - len(P) - len(parts) + 1
+        genus = c2comp.genus - sum(p.genus for p in P) - b1
+        if genus < 0:
+            continue
+        for assign in product(range(len(parts)), repeat=len(zeros)):
+            flux = [
+                sum((z.contact for z, b in zip(zeros, assign) if b == k), Q(0))
+                - sum((tags[t][1].contact for t in part), Q(0))
+                for k, part in enumerate(parts)
+            ]
+            if min(flux) >= 0:
+                yield parts, assign, genus + extra
+
+
+def reference_record(P, c2comp):
+    """The first reference arrangement of each kind, ``(free, pre-minimal,
+    minimal)``, read up to the first free or all-minimal one."""
+    tags = [m for p in P for m in p.relative]
+    zeros = c2comp.relative
+    gap_is_zero = all(c == sum(p.cls[i] for p in P) for i, c in enumerate(c2comp.cls))
+    free = pre_minimal = minimal = None
+    for parts, assign, resources in reference_arrangements(P, c2comp):
+        arrangement = (parts, assign)
+        fiber = [len(part) == 1 and assign.count(k) == 1 for k, part in enumerate(parts)]
+        ends = [(tags[part[0]], zeros[assign.index(k)]) for k, part in enumerate(parts) if fiber[k]]
+        others = fiber.count(False)
+        mismatched = sum(z.contact != t.contact or z.sector != t.sector for t, z in ends)
+        if free is None and (others or resources) and mismatched <= resources:
+            free = arrangement
+        if gap_is_zero and not (others or mismatched or resources):
+            pre_minimal = pre_minimal or arrangement
+            if all(z.j == t.j and z.ell == t.ell for t, z in ends):
+                minimal = arrangement
+        if free is not None or minimal is not None:
+            break
+    return free, pre_minimal, minimal
+
+
+@functools.cache
+def cut_pools():
+    """``(model, data)``: the two oracle pools, and data enumerated over
+    drawn pair models."""
+    pools = [oracle_pool(name)[:2] for name in ("b", "c")]
+    rng = random.Random(11)
+    for _ in range(12):
+        model = FormalPairModel.from_json(random_pair_model(rng))
+        data = enumerate_relative_data(
+            model, windows=(0, 1), genus_values=(0, 1), max_markings=2, components=2, limit=30
+        )
+        pools.append((model, data))
+    return pools
+
+
+def test_cells_cut_before_enumeration_have_no_arrangement(monkeypatch):
+    # every cell the comparisons read, with whether it reached the enumeration
+    cells = []
+    record, partitions = corr._cell_record, corr._set_partitions
+    calls = [0]
+
+    def counted(items, lo, hi):
+        calls[0] += 1
+        return partitions(items, lo, hi)
+
+    def recorded(model, P, c2comp):
+        before = calls[0]
+        rec = record(model, P, c2comp)
+        cells.append((P, c2comp, rec, calls[0] > before))
+        return rec
+
+    monkeypatch.setattr(corr, "_set_partitions", counted)
+    monkeypatch.setattr(corr, "_cell_record", recorded)
+    for model, data in cut_pools():
+        comparison_matrix(model, data)
+    cut = Counter()
+    for P, c2comp, rec, enumerated in cells:
+        if not P or any(not p.relative for p in P):
+            continue  # decided before any cut
+        assert tuple(rec) == reference_record(P, c2comp), (P, c2comp)
+        if enumerated:
+            cut["enumerated"] += 1
+            continue
+        assert next(reference_arrangements(P, c2comp), None) is None, (P, c2comp)
+        zero_sum = sum((m.contact for m in c2comp.relative), Q(0))
+        tag_sum = sum((m.contact for p in P for m in p.relative), Q(0))
+        host_abs = Counter(m for p in P for m in p.absolute)
+        if zero_sum < tag_sum:
+            cut["flux"] += 1
+        elif host_abs - Counter(c2comp.absolute):
+            cut["ambient"] += 1
+        else:
+            cut["block count"] += 1
+    # the pools reach both cuts and the enumeration
+    assert min(cut["enumerated"], cut["flux"], cut["block count"]) > 20, cut
+
+
+def test_integer_signatures_rule_out_what_fractions_do():
+    fractional = 0
+    for _, data in cut_pools():
+        sigs = _signatures(data)
+        exact = [
+            sig._replace(contact=sum((m.contact for m in rd.relative_markings()), Q(0)))
+            for sig, rd in zip(sigs, data)
+        ]
+        fractional += sum(sig.contact.denominator > 1 for sig in exact)
+        for i in range(len(data)):
+            for j in range(len(data)):
+                assert _rules_out(sigs[i], sigs[j]) == _rules_out(exact[i], exact[j]), (i, j)
+    assert fractional > 20
