@@ -45,7 +45,7 @@ VERB_OPERATIONS = {
     "order": ["comparison_matrix", "order_from_matrix"],
     "assemble": [
         "linear_extension", "assemble_L", "h_invariant",
-        "precedes", "find_precedence_witness", "default_coeff_rule",
+        "precedes", "find_precedence_witness", "glue", "default_coeff_rule",
     ],
     "solve": ["solve_lower_triangular"],
 }

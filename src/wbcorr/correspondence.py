@@ -8,9 +8,11 @@ The pieces, all exact and deterministic:
   otherwise a bijection onto the data whose labels carry a phase of a
   divisor sector over their base sector.
 * ``glue``: the formal gluing evaluator applying a bubble datum (a list of
-  ``RPlusComponent``) to a relative datum along matched divisor markings.
+  ``RPlusComponent``, each with its host matching) to a relative datum
+  along matched divisor markings.
 * ``n_minimal_companion``: the unique minimal bubble datum of a datum, one
-  fiber block per divisor marking; it glues the datum to itself.
+  fiber block per divisor marking; ``companion_rplus`` matches each block
+  to its marking, and so glues the datum to itself.
 * ``precedes``: the one-step degeneration relation (some bubble datum
   glues one datum into the other), decided by a bounded complete search
   over bubble witnesses.  It is reflexive and antisymmetric, but not a
@@ -29,8 +31,11 @@ A bubble component carries a genus, a class vector in the model lattice
 (recording its pushed ambient class), ambient markings, markings at the
 infinity divisor (which must be duals of the host datum's markings) and
 markings at the zero divisor (which become the glued datum's markings).
-Gluing adds genera plus the first Betti number of the matching graph, adds
-class vectors, and takes unions of markings per connected component.
+The matching is part of the bubble datum: each component comes with the
+host index of each infinity marking, and every host divisor marking must
+meet exactly one dual infinity marking.  Gluing adds genera plus the first
+Betti number of the matching graph, adds class vectors, and takes unions
+of markings per connected component.
 
 Three standing constraints make the search sound:
 
@@ -80,11 +85,11 @@ whose cell records admit a witness, and builds nothing, so
 ``comparison_matrix`` decides every pair from cell records alone.  Only
 ``find_precedence_witness`` (and ``precedes`` through it) builds the
 chosen arrangements into a witness, as ``RPlusComponent``s paired with the
-host index of each infinity marking.  Each block starts as the fiber block
-of ``companion_rplus``; in a free arrangement the blocks ``is_pre_minimal``
-rejects take the cell budget the pass reads too (genus slack and extra
-ambient markings) and a class of their ``Fraction`` flux.  It glues the
-witness, checks it against the target and validates each component.
+host index of each infinity marking.  Each block starts as a fiber block,
+as in ``companion_rplus``; in a free arrangement the blocks
+``is_pre_minimal`` rejects take the cell budget the pass reads too (genus
+slack and extra ambient markings) and a class of their ``Fraction`` flux.
+The witness is checked through ``glue``, which validates each component.
 
 A cell record depends only on content, so each search reads and fills a
 memo of cell records.  Every search runs through a comparer over data
@@ -310,8 +315,8 @@ def _validate_rplus_component(model: FormalPairModel, comp: RPlusComponent):
 def n_minimal_companion(rd: RelativeData) -> NMinimalData:
     """The minimal bubble datum of ``rd``: one component per divisor
     marking, markings duplicated dually at the two ends.  Empty when the
-    datum has no divisor markings.  Realized by ``companion_rplus``, it
-    glues ``rd`` to itself."""
+    datum has no divisor markings.  ``companion_rplus`` realizes it as a
+    witness matched to ``rd``, which glues ``rd`` to itself."""
     return NMinimalData(tuple(rd.relative_markings()))
 
 
@@ -322,9 +327,11 @@ def _fiber_block(model: FormalPairModel, host_markings, zero) -> RPlusComponent:
     return RPlusComponent(0, [0] * model.rank, (), infinity, zero)
 
 
-def companion_rplus(model: FormalPairModel, companion: NMinimalData) -> list[RPlusComponent]:
-    """Realize a minimal bubble datum as gluable components."""
-    return [_fiber_block(model, (m,), (m,)) for m in companion.components]
+def companion_rplus(model: FormalPairModel, rd: RelativeData) -> list:
+    """The minimal companion of ``rd`` as a witness for ``glue``: one
+    ``(fiber block, (ci,))`` per divisor marking of component ``ci``."""
+    comps = enumerate(rd.components)
+    return [(_fiber_block(model, (m,), (m,)), (ci,)) for ci, c in comps for m in c.relative]
 
 
 class _UnionFind:
@@ -343,29 +350,53 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def _glue_tagged(model, rd_comps, witness, hosts):
-    """Glue the bubble components ``witness`` to the host components
-    ``rd_comps`` with an explicit matching: ``hosts[k]`` lists the host
-    index each infinity marking of ``witness[k]`` consumes.  Returns the
-    glued RelativeData.
+def glue(model: FormalPairModel, rd: RelativeData, witness) -> RelativeData:
+    """Apply a bubble datum to a relative datum along an explicit matching.
+
+    ``witness`` lists ``(component, hosts)`` pairs: ``hosts[i]`` is the
+    index in ``rd.components`` of the host component whose divisor marking
+    ``component.infinity[i]`` meets, in the component's canonical infinity
+    order.  Every divisor marking of ``rd`` must be met, dually, by exactly
+    one infinity marking on its own component; the glued datum's divisor
+    markings are the bubble's zero markings.
     """
-    nodes = [("r", i) for i in range(len(rd_comps))] + [("b", k) for k in range(len(witness))]
+    model.validate_relative_data(rd)
+    witness = [(comp, tuple(hosts)) for comp, hosts in witness]
+    for comp, _ in witness:
+        _validate_rplus_component(model, comp)
+    n = len(rd.components)
+    # each host marking left to meet, as its component and its dual
+    hosted = [(ci, m) for ci, c in enumerate(rd.components) for m in c.relative]
+    left = Counter((ci, model.dual_marking(m)) for ci, m in hosted)
+    for comp, hosts in witness:
+        if len(hosts) != len(comp.infinity):
+            raise DomainError(f"{len(hosts)} host(s) for {len(comp.infinity)} infinity marking(s)")
+        for m, ci in zip(comp.infinity, hosts):
+            if not 0 <= ci < n:
+                raise DomainError(f"host index {ci} out of range for {n} host component(s)")
+            if not left[ci, m]:
+                raise DomainError(f"unmatched bubble marking {m} (no dual host marking left)")
+            left[ci, m] -= 1
+    leftovers = left.total()
+    if leftovers:
+        raise DomainError(f"{leftovers} host divisor marking(s) left unmatched by the bubble datum")
+    nodes = [("r", i) for i in range(n)] + [("b", k) for k in range(len(witness))]
     uf = _UnionFind(nodes)
-    for k, his in enumerate(hosts):
-        for ci in his:
+    for k, (_, hosts) in enumerate(witness):
+        for ci in hosts:
             uf.union(("r", ci), ("b", k))
     groups: dict = {}
     for node in nodes:
         groups.setdefault(uf.find(node), []).append(node)
     glued = []
     for members in groups.values():
-        n_edges = sum(len(hosts[k]) for kind, k in members if kind == "b")
+        n_edges = sum(len(witness[k][1]) for kind, k in members if kind == "b")
         genus = n_edges - len(members) + 1  # first Betti number of the matching graph
         cls = tuple(Rational(0) for _ in range(model.rank))
         absolute = []
         relative = []
         for kind, idx in members:
-            comp = rd_comps[idx] if kind == "r" else witness[idx]
+            comp = rd.components[idx] if kind == "r" else witness[idx][0]
             genus += comp.genus
             cls = tuple(a + b for a, b in zip(cls, comp.cls))
             absolute.extend(comp.absolute)
@@ -375,41 +406,6 @@ def _glue_tagged(model, rd_comps, witness, hosts):
             ConnectedRelativeData(genus=genus, cls=cls, absolute=tuple(absolute), relative=tuple(relative))
         )
     return RelativeData(tuple(glued))
-
-
-def glue(model: FormalPairModel, rd: RelativeData, rplus) -> RelativeData:
-    """Apply a bubble datum to a relative datum along matched markings.
-
-    Every divisor marking of ``rd`` must be matched, dually, by exactly one
-    infinity marking across ``rplus``; the glued datum's divisor markings
-    are the bubble's zero markings.  When equal markings occur on several
-    host components the matching is resolved in canonical order: each
-    infinity marking, in ``rplus`` order, takes the first host left, so the
-    order of ``rplus`` can decide which host a block attaches to.
-    """
-    model.validate_relative_data(rd)
-    rplus = list(rplus)
-    for comp in rplus:
-        _validate_rplus_component(model, comp)
-    # host indices per dual marking, ascending: markings are visited in
-    # component order, and dual_marking is injective (bar is an involution)
-    pool: dict = {}
-    for ci, comp in enumerate(rd.components):
-        for m in comp.relative:
-            pool.setdefault(model.dual_marking(m), []).append(ci)
-    hosts = []
-    for comp in rplus:
-        his = []
-        for m in comp.infinity:
-            slots = pool.get(m)
-            if not slots:
-                raise DomainError(f"unmatched bubble marking {m} (no dual host marking left)")
-            his.append(slots.pop(0))
-        hosts.append(his)
-    leftovers = sum(map(len, pool.values()))
-    if leftovers:
-        raise DomainError(f"{leftovers} host divisor marking(s) left unmatched by the bubble datum")
-    return _glue_tagged(model, rd.components, rplus, hosts)
 
 
 # ---------------------------------------------------------------------------
@@ -588,25 +584,29 @@ def _cell_record(model, P, c2comp) -> _CellRecord:
 
 
 def _cell_blocks(model, comps1, p_indices, c2comp, arrangement, free):
-    """Build the bubble components of one cell arrangement.
-
-    Returns ``(components, hosts)``, with ``hosts[k]`` the host indices the
-    infinity markings of ``components[k]`` attach to.  Every block starts as
-    a fiber block, pre-minimal unless ``free``; in a free arrangement of
-    ``_cell_record`` the blocks that are not pre-minimal (else block 0) take
-    the cell's genus, extra ambient markings and class."""
+    """Build the bubble blocks of one cell arrangement as ``(component,
+    hosts)`` pairs for ``glue``.  Each block's tags are taken in the
+    canonical order of their duals, so its hosts line up with its
+    ``infinity``.  Every block starts as a fiber block, pre-minimal unless
+    ``free``; in a free arrangement of ``_cell_record`` the blocks that are
+    not pre-minimal (else block 0) take the cell's genus, extra ambient
+    markings and class."""
     P = [comps1[i] for i in p_indices]
     tags = _host_tags(P)
-    hosts = [[p_indices[tags[t][0]] for t in part] for part in arrangement.parts]
+    parts = [
+        sorted(part, key=lambda t: model.dual_marking(tags[t][1]).sort_key())
+        for part in arrangement.parts
+    ]
+    hosts = [tuple(p_indices[tags[t][0]] for t in part) for part in parts]
     block_zeros = [[] for _ in arrangement.parts]
     for z, k in zip(c2comp.relative, arrangement.assign):
         block_zeros[k].append(z)
     blocks = [
         _fiber_block(model, [tags[t][1] for t in part], zeros)
-        for part, zeros in zip(arrangement.parts, block_zeros)
+        for part, zeros in zip(parts, block_zeros)
     ]
     if not free:
-        return blocks, hosts
+        return list(zip(blocks, hosts))
     slack0, abs_left = _cell_budget(P, c2comp)
     slack_left = slack0 + len(blocks)
     pre_minimal = [is_pre_minimal(model, block) for block in blocks]
@@ -631,10 +631,11 @@ def _cell_blocks(model, comps1, p_indices, c2comp, arrangement, free):
     ]
     remainder = [t - sum(col) for t, col in zip(_class_gap(P, c2comp), zip(*classes))]
     classes[sink] = [c + r for c, r in zip(classes[sink], remainder)]
-    return [
+    blocks = [
         RPlusComponent(genus_extra[k], classes[k], abs_assign[k], block.infinity, block.zero)
         for k, block in enumerate(blocks)
-    ], hosts
+    ]
+    return list(zip(blocks, hosts))
 
 
 def find_precedence_witness(
@@ -646,13 +647,14 @@ def find_precedence_witness(
 ):
     """Search for a bubble datum gluing ``rd1`` into ``rd2``.
 
-    Returns the witness components (possibly the empty list when the two
-    data agree marking-free), or None when no witness exists.  The search
-    is complete over the formal witness space described in the module
+    Returns the witness as ``glue`` takes it, a list of ``(component,
+    hosts)`` pairs carrying the matching (the empty list when the two data
+    agree marking-free), or None when no witness exists.  The search is
+    complete over the formal witness space described in the module
     docstring; condition (P2) rejects witnesses that are pre-minimal
     without being minimal.  The witness is built from the search's
-    decision, glued and checked against ``rd2``, and each of its
-    components is validated.
+    decision and glued, which validates each component, and the result is
+    checked against ``rd2``.
     """
     model.validate_relative_data(rd1)
     model.validate_relative_data(rd2)
@@ -770,24 +772,18 @@ def _search(model, rd1, rd2, memo):
 
 
 def _build_witness(model, rd1, rd2, preimages, records):
-    """The witness of a decision of ``_search``: the bubble components of
-    each cell, glued into ``rd2`` as a check, each one validated."""
-    comps1 = rd1.components
+    """The witness of a decision of ``_search``: the bubble blocks of each
+    cell, glued into ``rd2`` through ``glue`` as a check."""
     # if a free block exists anywhere, prefer free arrangements (condition
     # (P2) is then vacuous); otherwise build the all-minimal witness
     any_b = any(rec.with_b is not None for rec in records)
-    witness, witness_hosts = [], []
+    witness = []
     for hosts, comp2, rec in zip(preimages, rd2.components, records):
         free = any_b and rec.with_b is not None
         arrangement = rec.with_b if free else rec.pre_minimal if any_b else rec.minimal
-        blocks, block_hosts = _cell_blocks(model, comps1, hosts, comp2, arrangement, free)
-        witness += blocks
-        witness_hosts += block_hosts
-    glued = _glue_tagged(model, comps1, witness, witness_hosts)
-    if glued != rd2:
+        witness += _cell_blocks(model, rd1.components, hosts, comp2, arrangement, free)
+    if glue(model, rd1, witness) != rd2:
         raise AssertionError("constructed witness does not reproduce the target datum")
-    for comp in witness:
-        _validate_rplus_component(model, comp)
     return witness
 
 

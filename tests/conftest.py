@@ -1,9 +1,18 @@
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from wbcorr import FormalPairModel, LocalModel
+
+# Tier-1 draws the same examples on every run and keeps no example database,
+# so one tree passes or fails the same way each time.  For sweeps,
+# ``--hypothesis-profile wide`` draws fresh examples, seeded by
+# ``--hypothesis-seed``.
+settings.register_profile("gate", derandomize=True, database=None)
+settings.register_profile("wide", database=None)
+settings.load_profile("gate")
 
 # Pair model over two base sectors: an untwisted one and an order-2 one
 # whose normal model is the standard (r=2, beta=(1,2), alpha=(1,1)) chart.

@@ -13,6 +13,7 @@ import pytest
 from wbcorr import (
     FormalPairModel,
     OutOfImageError,
+    RPlusComponent,
     assemble_L,
     companion_rplus,
     enumerate_relative_data,
@@ -32,6 +33,7 @@ from wbcorr.pair_model import (
     AbsoluteData,
     ConnectedAbsoluteData,
     ConnectedRelativeData,
+    NMinimalData,
     RelativeData,
     RelativeMarking,
     SMarking,
@@ -266,14 +268,15 @@ def test_criterion_7_poset_axioms(pair_models):
                             ok = False
         # companion law and uniqueness under bounded perturbation search
         for rd in data[:20]:
-            companion = n_minimal_companion(rd)
-            if glue(model, rd, companion_rplus(model, companion)) != rd:
+            companion = companion_rplus(model, rd)
+            zeros = NMinimalData(tuple(block.zero[0] for block, _ in companion))
+            if zeros != n_minimal_companion(rd) or glue(model, rd, companion) != rd:
                 ok = False
-            for perturbed in _perturbed_minimal_data(model, rd):
+            for perturbed in _perturbed_companions(model, companion):
                 if perturbed == companion:
                     continue
                 try:
-                    same = glue(model, rd, companion_rplus(model, perturbed)) == rd
+                    same = glue(model, rd, perturbed) == rd
                 except Exception:
                     continue
                 if same:
@@ -281,20 +284,25 @@ def test_criterion_7_poset_axioms(pair_models):
     _report(7, ok, f"poset axioms + companion on sets of sizes {sizes}", time.perf_counter() - start, 30)
 
 
-def _perturbed_minimal_data(model, rd):
-    from wbcorr.pair_model import NMinimalData
-
-    markings = rd.relative_markings()
-    if not markings:
+def _perturbed_companions(model, companion):
+    """The minimal companion with its first block's marking perturbed in
+    basis index, H-power or contact, matched to the same host."""
+    if not companion:
         return
-    base = list(markings)
-    m = base[0]
+    (block, hosts), rest = companion[0], companion[1:]
+    (m,) = block.zero
     z = model.z_sector(m.sector)
-    for j in range(1, model.sigma_size(z.pi) + 1):
-        for ell in range(model.ell_max(m.sector) + 1):
-            variant = RelativeMarking(m.sector, m.contact, j, ell)
-            yield NMinimalData(tuple([variant] + base[1:]))
-    yield NMinimalData(tuple([RelativeMarking(m.sector, m.contact + 1, m.j, m.ell)] + base[1:]))
+    variants = [
+        RelativeMarking(m.sector, m.contact, j, ell)
+        for j in range(1, model.sigma_size(z.pi) + 1)
+        for ell in range(model.ell_max(m.sector) + 1)
+    ]
+    variants.append(RelativeMarking(m.sector, m.contact + 1, m.j, m.ell))
+    for variant in variants:
+        fiber = RPlusComponent(
+            genus=0, cls=block.cls, infinity=(model.dual_marking(variant),), zero=(variant,)
+        )
+        yield [(fiber, hosts)] + rest
 
 
 def test_criterion_8_triangular_system(pair_models):

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from wbcorr.correspondence import RPlusComponent, is_minimal, is_pre_minimal
 from wbcorr.errors import PosetCycleError, SearchLimitError
 from wbcorr.pair_model import (
     AbsoluteMarking,
+    NMinimalData,
     ConnectedAbsoluteData,
     AbsoluteData,
     ConnectedRelativeData,
@@ -204,8 +206,13 @@ def test_companion_law(pm_b, pm_a, pm_c):
         (pm_c, dict(windows=(0,), genus_values=(0,), limit=40)),
     ]:
         for rd in enumerate_relative_data(model, **kwargs):
-            companion = n_minimal_companion(rd)
-            assert glue(model, rd, companion_rplus(model, companion)) == rd
+            witness = companion_rplus(model, rd)
+            # one minimal block per marking of the minimal companion, matched
+            # to the component that carries the marking
+            for block, (ci,) in witness:
+                assert is_minimal(model, block) and block.zero[0] in rd.components[ci].relative
+            assert NMinimalData(tuple(c.zero[0] for c, _ in witness)) == n_minimal_companion(rd)
+            assert glue(model, rd, witness) == rd
 
 
 def test_companion_uniqueness_under_bounded_search(pm_b, rd_one_marking):
@@ -221,9 +228,14 @@ def test_companion_uniqueness_under_bounded_search(pm_b, rd_one_marking):
     ]
     for cand in candidates:
         assert cand != base
-        blocks = companion_rplus(pm_b, n_minimal_companion(rdata(comp(0, (Q(0), cand.contact), rel=(cand,)))))
+        blocks = companion_rplus(pm_b, rdata(comp(0, (Q(0), cand.contact), rel=(cand,))))
         with pytest.raises(DomainError):
             glue(pm_b, rd, blocks)
+
+
+def minimal_block(model, m):
+    """The minimal fiber block with ``m`` at zero and its dual at infinity."""
+    return RPlusComponent(0, (Q(0),) * model.rank, infinity=(model.dual_marking(m),), zero=(m,))
 
 
 def test_glue_rejects_bad_bubbles(pm_b, rd_one_marking):
@@ -234,11 +246,14 @@ def test_glue_rejects_bad_bubbles(pm_b, rd_one_marking):
             pm_b,
             rd_one_marking,
             [
-                RPlusComponent(
-                    genus=0,
-                    cls=(Q(0), Q(1, 2)),
-                    infinity=(dual,),
-                    zero=(mk("sb", Q(1)),),
+                (
+                    RPlusComponent(
+                        genus=0,
+                        cls=(Q(0), Q(1, 2)),
+                        infinity=(dual,),
+                        zero=(mk("sb", Q(1)),),
+                    ),
+                    (0,),
                 )
             ],
         )
@@ -247,7 +262,7 @@ def test_glue_rejects_bad_bubbles(pm_b, rd_one_marking):
         glue(
             pm_b,
             rd_one_marking,
-            [RPlusComponent(genus=0, cls=(Q(0), Q(-1, 2)), infinity=(dual,), zero=())],
+            [(RPlusComponent(genus=0, cls=(Q(0), Q(-1, 2)), infinity=(dual,), zero=()), (0,))],
         )
     # flux/pairing mismatch
     with pytest.raises(DomainError):
@@ -255,16 +270,19 @@ def test_glue_rejects_bad_bubbles(pm_b, rd_one_marking):
             pm_b,
             rd_one_marking,
             [
-                RPlusComponent(
-                    genus=1,
-                    cls=(Q(0), Q(7)),
-                    infinity=(dual,),
-                    zero=(mk("sa", Q(1, 2)),),
+                (
+                    RPlusComponent(
+                        genus=1,
+                        cls=(Q(0), Q(7)),
+                        infinity=(dual,),
+                        zero=(mk("sa", Q(1, 2)),),
+                    ),
+                    (0,),
                 )
             ],
         )
     # leftover host marking
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^1 host divisor marking"):
         glue(pm_b, rd_one_marking, [])
     # bad infinity markings: each is rejected by bubble validation, before
     # any matching is tried
@@ -280,7 +298,52 @@ def test_glue_rejects_bad_bubbles(pm_b, rd_one_marking):
         )
         # the error names the marking as passed, not its dual
         with pytest.raises(DomainError, match=f"^infinity marking on {bad.sector!r}: .*{message}"):
-            glue(pm_b, rd_one_marking, [bubble])
+            glue(pm_b, rd_one_marking, [(bubble, (0,))])
+    # bad matchings: host 0 carries sa 1/2 and sb 1, host 1 carries sb 1
+    sa, sb = mk("sa", Q(1, 2)), mk("sb", Q(1))
+    rd = rdata(comp(0, (Q(0), Q(3, 2)), rel=(sa, sb)), comp(0, (Q(1), Q(1)), rel=(sb,)))
+    assert rd.components[0].relative == (sa, sb)  # host indices follow canonical order
+    minimal = {m: minimal_block(pm_b, m) for m in (sa, sb)}
+    good = [(minimal[sa], (0,)), (minimal[sb], (0,)), (minimal[sb], (1,))]
+    assert glue(pm_b, rd, good) == rd
+    for witness, message in [
+        # a hosts tuple of the wrong length
+        ([(minimal[sa], ())] + good[1:], "^0 host"),
+        ([(minimal[sa], (0, 0))] + good[1:], "^2 host"),
+        # host indices out of range
+        (good[:2] + [(minimal[sb], (2,))], "^host index 2 out of range"),
+        (good[:2] + [(minimal[sb], (-1,))], "^host index -1 out of range"),
+        # sa 1/2 sent to host 1, which has no sa marking
+        ([(minimal[sa], (1,))] + good[1:], "^unmatched bubble marking"),
+        # both sb blocks sent to host 0, which has one sb marking
+        (good[:2] + [(minimal[sb], (0,))], "^unmatched bubble marking"),
+        # host 1's sb marking left unmatched
+        (good[:2], "^1 host divisor marking"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            glue(pm_b, rd, witness)
+
+
+def test_glue_follows_the_matching_not_the_block_order(pm_b):
+    # two equal sb markings on different hosts: a genus-1 block and a minimal
+    # block meet them, and the matching decides which host gains the genus
+    sa, sb = mk("sa", Q(1, 2)), mk("sb", Q(1))
+    rd = rdata(comp(0, (Q(0), Q(3, 2)), rel=(sa, sb)), comp(0, (Q(1), Q(1)), rel=(sb,)))
+    assert rd.components[0].relative == (sa, sb)  # host indices follow canonical order
+    minimal = {m: minimal_block(pm_b, m) for m in (sa, sb)}
+    handle = RPlusComponent(genus=1, cls=(Q(0), Q(0)), infinity=(pm_b.dual_marking(sb),), zero=(sb,))
+    expected = {
+        0: rdata(comp(1, (Q(0), Q(3, 2)), rel=(sa, sb)), comp(0, (Q(1), Q(1)), rel=(sb,))),
+        1: rdata(comp(0, (Q(0), Q(3, 2)), rel=(sa, sb)), comp(1, (Q(1), Q(1)), rel=(sb,))),
+    }
+    assert expected[0] != expected[1]
+    for host, target in expected.items():
+        witness = [(minimal[sa], (0,)), (handle, (host,)), (minimal[sb], (1 - host,))]
+        # the same blocks in any order glue into the same datum
+        for order in itertools.permutations(witness):
+            assert glue(pm_b, rd, order) == target
+        # and the search's witness carries a matching that glues into it
+        assert glue(pm_b, rd, find_precedence_witness(pm_b, rd, target)) == target
 
 
 def test_pre_minimal_splitting_law(pm_a):
@@ -288,9 +351,7 @@ def test_pre_minimal_splitting_law(pm_a):
     # factors are pre-minimal, and if one of them is minimal alongside a
     # minimal composite, all coincide
     m = mk("s", Q(1), j=1, ell=1)
-    composite = companion_rplus(
-        pm_a, n_minimal_companion(rdata(comp(0, (Q(0), Q(1)), rel=(m,))))
-    )[0]
+    composite, _ = companion_rplus(pm_a, rdata(comp(0, (Q(0), Q(1)), rel=(m,))))[0]
     assert is_minimal(pm_a, composite)
     middles = [
         RelativeMarking("s", Q(1), j, ell) for j in (1, 2) for ell in (0, 1)
@@ -321,7 +382,7 @@ def test_precedes_reflexive(pm_a, pm_b, pm_c, pm_codim1):
     # the minimal companion glues every datum into itself
     for model in (pm_a, pm_b, pm_c, pm_codim1):
         for rd in enumerate_relative_data(model, windows=(0,), genus_values=(0, 1), limit=25):
-            assert glue(model, rd, companion_rplus(model, n_minimal_companion(rd))) == rd
+            assert glue(model, rd, companion_rplus(model, rd)) == rd
             assert precedes(model, rd, rd)
 
 
@@ -404,7 +465,7 @@ def test_comparison_matrix_builds_no_witness(monkeypatch):
         raise AssertionError("the matrix path built a witness")
 
     with monkeypatch.context() as patch:
-        for name in ("_cell_blocks", "_glue_tagged", "_validate_rplus_component"):
+        for name in ("_cell_blocks", "glue", "_validate_rplus_component"):
             patch.setattr(corr, name, refuse)
         for model, data, pairwise in pools:
             assert comparison_matrix(model, data) == pairwise
@@ -424,13 +485,14 @@ def test_comparison_matrix_builds_no_witness(monkeypatch):
                 if strict:
                     validated.clear()
                     witness = find_precedence_witness(model, a, b)
-                    assert witness and validated == witness
+                    assert witness and validated == [c for c, _ in witness]
 
 
 def test_witnesses_are_pinned_on_the_fixture_models(pm_a, pm_b, pm_c, pm_codim1):
     # every ordered pair of one enumeration per fixture model, recorded as the
-    # witness's repr or the exception's type name; the digest pins them all
-    digest, pairs, witnesses = hashlib.sha256(), 0, 0
+    # repr of the witness's blocks and of its hosts, or the exception's type
+    # name; one digest pins the blocks, one the matching
+    digest, matching, pairs, witnesses = hashlib.sha256(), hashlib.sha256(), 0, 0
     for model in (pm_a, pm_b, pm_c, pm_codim1):
         data = enumerate_relative_data(
             model, windows=(0, 1), genus_values=(0, 1), max_markings=2, components=2, limit=30
@@ -438,14 +500,21 @@ def test_witnesses_are_pinned_on_the_fixture_models(pm_a, pm_b, pm_c, pm_codim1)
         for a in data:
             for b in data:
                 try:
-                    record = repr(find_precedence_witness(model, a, b, max_components=6))
+                    witness = find_precedence_witness(model, a, b, max_components=6)
                 except Exception as exc:
-                    record = type(exc).__name__
+                    record = hosts = type(exc).__name__
+                else:
+                    record = hosts = "None"
+                    if witness is not None:
+                        record = repr([c for c, _ in witness])
+                        hosts = repr([h for _, h in witness])
                 digest.update(record.encode())
+                matching.update(hosts.encode())
                 pairs += 1
                 witnesses += record not in ("None", "SearchLimitError")
     assert (pairs, witnesses) == (3600, 616)
     assert digest.hexdigest() == "1bb656f8f7a45ca1647076bbab92412d376445c728461a852b518746111dc4ca"
+    assert matching.hexdigest() == "6bacbb59465b3f79ec04739b2bba84150957dce97ef7b8f4da5e576d3282a4ea"
 
 
 # -- linear extension and the matrix -------------------------------------------

@@ -25,7 +25,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wbcorr import (
@@ -147,7 +147,7 @@ def test_precedes_is_antisymmetric_and_oracle_checked_where_intransitive(drawn):
     model, data = drawn  # distinct data
     for a in data:
         # reflexive: the minimal companion glues a datum into itself
-        assert glue(model, a, companion_rplus(model, n_minimal_companion(a))) == a
+        assert glue(model, a, companion_rplus(model, a)) == a
         assert precedes(model, a, a)
     before = {(a, b) for a in data for b in data if a != b and precedes(model, a, b)}
     for a, b in before:
@@ -166,19 +166,21 @@ def _glued_targets(model, host, markings):
 
     Such a target has two divisor markings fewer than a 3-marking host, the
     most that gluing can drop on tiny data."""
-    capped = host.relative_markings()
-    total = sum((m.contact for m in capped), Q(0))
+    # the capped markings with their hosts, in the canonical order of their duals
+    capped = sorted(
+        ((ci, model.dual_marking(m)) for ci, c in enumerate(host.components) for m in c.relative),
+        key=lambda tag: tag[1].sort_key(),
+    )
+    total = sum((m.contact for _, m in capped), Q(0))
     axis = next(i for i, z in enumerate(model.z_pairing) if z != 0)
     for zero in markings:
         flux = zero.contact - total
         if flux < 0:
             continue
         cls = tuple(flux / model.z_pairing[i] if i == axis else Q(0) for i in range(model.rank))
-        block = RPlusComponent(
-            genus=0, cls=cls, infinity=tuple(model.dual_marking(m) for m in capped), zero=(zero,)
-        )
+        block = RPlusComponent(genus=0, cls=cls, infinity=tuple(m for _, m in capped), zero=(zero,))
         try:
-            yield glue(model, host, [block])
+            yield glue(model, host, [(block, tuple(ci for ci, _ in capped))])
         except DomainError:
             continue  # flux, effectivity or fiber rigidity fails
 
@@ -212,8 +214,52 @@ def tiny_models_and_data(draw):
     return model, list(dict.fromkeys(picks + [host]))
 
 
+# A drawn model and data on which the oracle and ``precedes`` once disagreed:
+# a witness the search found glued into its target only under its own
+# matching, while ``glue`` matched the two equal ``s1`` markings by block order.
+MATCHING_DRAW_MODEL = {
+    "s_sectors": [
+        {"name": "t", "bar": "t", "basis": [{"name": "t_0", "deg": 0}, {"name": "t_1", "deg": 2}]}
+    ],
+    "z_sectors": [
+        {"name": name, "bar": bar, "pi": "t", "phase": phase,
+         "local_model": {"r": 1, "beta": [1], "alpha": [3]}}
+        for name, bar, phase in [("s0", "s0", "0"), ("s1", "s1b", "1/3"), ("s1b", "s1", "2/3")]
+    ],
+    "k_classes": ["one_X", "H2_X"],
+    "lattice": {"rank": 2, "F": [0, 1], "FZ": [0, 0], "Z_pairing": [0, 1], "kappa_push": [[1, 0]]},
+}
+
+
+def _component(cls, *markings):
+    return {
+        "genus": 0,
+        "class": ["0", cls],
+        "absolute": [],
+        "relative": [{"sector": sector, "contact": c, "j": 1, "ell": 0} for sector, c in markings],
+    }
+
+
+MATCHING_DRAW_DATA = [
+    {"kind": "relative", "components": [_component("4/3", ("s0", "1"), ("s1", "1/3"))]},
+    {
+        "kind": "relative",
+        "components": [
+            _component("1/3", ("s1", "1/3")),
+            _component("1", ("s1", "1/3"), ("s1b", "2/3")),
+        ],
+    },
+]
+
+
 @settings(max_examples=25, deadline=None)
 @given(tiny_models_and_data())
+@example(
+    (
+        FormalPairModel.from_json(MATCHING_DRAW_MODEL),
+        [RelativeData.from_json(doc) for doc in MATCHING_DRAW_DATA],
+    )
+)
 def test_precedes_matches_the_witness_oracle_on_tiny_data(drawn):
     model, data = drawn
     for a, b in product(data, repeat=2):

@@ -9,7 +9,9 @@ components, no feasibility summaries.
 A bubble datum is enumerated as
 
 * a set partition of the host's divisor markings into attached blocks
-  (each block's infinity markings are the duals of its part),
+  (each block's infinity markings are the duals of its part, and the
+  matching sends each to the host component that carries its part's
+  marking),
 * as many standalone blocks (no infinity markings) as the glued datum
   still lacks components,
 * an assignment of every target divisor marking to a block as a zero
@@ -111,8 +113,9 @@ def glued_groups(n_host, attached):
 
 
 def oracle_witnesses(model, rd1, rd2):
-    """Yield every enumerated bubble datum (a list of RPlusComponent) that
-    glues ``rd1`` into ``rd2`` and satisfies (P2)."""
+    """Yield every enumerated bubble datum (a list of ``(RPlusComponent,
+    hosts)`` pairs, as ``glue`` takes it) that glues ``rd1`` into ``rd2``
+    and satisfies (P2)."""
     host, target = rd1.components, rd2.components
     tagged = [(ci, m) for ci, comp in enumerate(host) for m in comp.relative]
     zeros = rd2.relative_markings()
@@ -136,8 +139,14 @@ def oracle_witnesses(model, rd1, rd2):
         if slack < 0:
             continue
         groups += [[("b", len(attached) + s)] for s in range(n_standalone)]
-        infinity = [[model.dual_marking(m) for _ci, m in part] for part in attached]
+        # each part in the canonical order of its duals, so that its hosts
+        # line up with the block's infinity markings
+        parts = [
+            sorted(part, key=lambda tag: model.dual_marking(tag[1]).sort_key()) for part in attached
+        ]
+        infinity = [[model.dual_marking(m) for _ci, m in part] for part in parts]
         infinity += [[] for _ in range(n_standalone)]
+        hosts = [tuple(ci for ci, _m in part) for part in parts] + [()] * n_standalone
         blocks = range(n_blocks)
         for zero_of in product(blocks, repeat=len(zeros)):
             block_zeros = [[z for z, k in zip(zeros, zero_of) if k == b] for b in blocks]
@@ -145,11 +154,11 @@ def oracle_witnesses(model, rd1, rd2):
                 block_abs = [[a for a, k in zip(extra_abs, abs_of) if k == b] for b in blocks]
                 for genera in compositions(slack, n_blocks):
                     yield from _with_classes(
-                        model, rd1, rd2, groups, infinity, block_zeros, block_abs, genera, e
+                        model, rd1, rd2, groups, infinity, hosts, block_zeros, block_abs, genera, e
                     )
 
 
-def _with_classes(model, rd1, rd2, groups, infinity, block_zeros, block_abs, genera, e):
+def _with_classes(model, rd1, rd2, groups, infinity, hosts, block_zeros, block_abs, genera, e):
     host, target = rd1.components, rd2.components
     n_blocks = len(infinity)
     fiber = [
@@ -182,12 +191,15 @@ def _with_classes(model, rd1, rd2, groups, infinity, block_zeros, block_abs, gen
             if free:
                 cls[free[-1]] = tuple(need)
         witness = [
-            RPlusComponent(
-                genus=genera[b],
-                cls=cls[b],
-                absolute=tuple(block_abs[b]),
-                infinity=tuple(infinity[b]),
-                zero=tuple(block_zeros[b]),
+            (
+                RPlusComponent(
+                    genus=genera[b],
+                    cls=cls[b],
+                    absolute=tuple(block_abs[b]),
+                    infinity=tuple(infinity[b]),
+                    zero=tuple(block_zeros[b]),
+                ),
+                hosts[b],
             )
             for b in range(n_blocks)
         ]
@@ -201,8 +213,8 @@ def _with_classes(model, rd1, rd2, groups, infinity, block_zeros, block_abs, gen
             continue  # flux, effectivity or fiber rigidity fails
         if glued != rd2:
             continue
-        if all(is_pre_minimal(model, c) for c in witness) and not all(
-            is_minimal(model, c) for c in witness
+        if all(is_pre_minimal(model, c) for c, _ in witness) and not all(
+            is_minimal(model, c) for c, _ in witness
         ):
             continue  # (P2)
         yield witness
