@@ -8,133 +8,22 @@ correspondence over formal pair models, the degeneration order relation,
 and assembly/solution of the lower-triangular transfer matrix.
 """
 
-from .correspondence import (
-    RPlusComponent,
-    assemble_L,
-    companion_rplus,
-    comparison_matrix,
-    default_coeff_rule,
-    find_precedence_witness,
-    glue,
-    linear_extension,
-    linear_extension_order,
-    n_minimal_companion,
-    precedes,
-    psi_forward,
-    psi_inverse,
-    solve_lower_triangular,
-)
-from .errors import (
-    DomainError,
-    ImproperPairError,
-    LabelError,
-    OutOfImageError,
-    PosetCycleError,
-    SchemaError,
-    SearchLimitError,
-    SectorError,
-    TriangularError,
-)
-from .invariants import (
-    ProperInsertionPair,
-    h_invariant,
-    h_prime_oracle,
-    localization_sum,
-    relative_invariant,
-)
-from .local_model import LocalModel, SectorIndex
-from .pair_model import (
-    AbsoluteData,
-    AbsoluteMarking,
-    ConnectedAbsoluteData,
-    ConnectedRelativeData,
-    FormalPairModel,
-    NMinimalData,
-    RelativeData,
-    RelativeMarking,
-    SMarking,
-    enumerate_relative_data,
-    load_data,
-)
-from .ranking import (
-    c_bounds,
-    c_to_Rd,
-    lambda_preimages,
-    lambda_value,
-    moduli_dim,
-    moduli_dim_oracle,
-    rk_pair,
-    rk_tilde,
-    sector_dim,
-    window,
-)
-from .rationals import (
-    BACKEND,
-    Rational,
-    floor_frac,
-    format_rational,
-    gen_factorial,
-    parse_rational,
-)
+from .correspondence import *
+from .errors import *
+from .invariants import *
+from .local_model import *
+from .pair_model import *
+from .ranking import *
+from .rationals import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbsoluteData",
-    "AbsoluteMarking",
-    "BACKEND",
-    "ConnectedAbsoluteData",
-    "ConnectedRelativeData",
-    "DomainError",
-    "FormalPairModel",
-    "ImproperPairError",
-    "LabelError",
-    "LocalModel",
-    "NMinimalData",
-    "OutOfImageError",
-    "PosetCycleError",
-    "ProperInsertionPair",
-    "RPlusComponent",
-    "Rational",
-    "RelativeData",
-    "RelativeMarking",
-    "SMarking",
-    "SchemaError",
-    "SearchLimitError",
-    "SectorError",
-    "SectorIndex",
-    "TriangularError",
-    "assemble_L",
-    "c_bounds",
-    "c_to_Rd",
-    "companion_rplus",
-    "comparison_matrix",
-    "default_coeff_rule",
-    "enumerate_relative_data",
-    "find_precedence_witness",
-    "floor_frac",
-    "format_rational",
-    "gen_factorial",
-    "glue",
-    "h_invariant",
-    "h_prime_oracle",
-    "lambda_preimages",
-    "lambda_value",
-    "linear_extension",
-    "linear_extension_order",
-    "load_data",
-    "localization_sum",
-    "moduli_dim",
-    "moduli_dim_oracle",
-    "n_minimal_companion",
-    "parse_rational",
-    "precedes",
-    "psi_forward",
-    "psi_inverse",
-    "relative_invariant",
-    "rk_pair",
-    "rk_tilde",
-    "sector_dim",
-    "solve_lower_triangular",
-    "window",
-]
+__all__ = (
+    correspondence.__all__
+    + errors.__all__
+    + invariants.__all__
+    + local_model.__all__
+    + pair_model.__all__
+    + ranking.__all__
+    + rationals.__all__
+)

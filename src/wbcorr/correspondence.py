@@ -120,6 +120,7 @@ from .errors import (
 from .invariants import h_invariant
 from .pair_model import (
     AbsoluteData,
+    AbsoluteMarking,
     ConnectedAbsoluteData,
     ConnectedRelativeData,
     FormalPairModel,
@@ -243,7 +244,7 @@ class RPlusComponent(_Canonical):
     infinity: tuple = ()  # markings matching the host datum (dual form)
     zero: tuple = ()  # markings surviving into the glued datum
 
-    _markings = ("absolute", "infinity", "zero")
+    _markings = {"absolute": AbsoluteMarking, "infinity": RelativeMarking, "zero": RelativeMarking}
 
 
 def _is_fiber_pattern(comp: RPlusComponent) -> bool:
@@ -287,6 +288,7 @@ def _validate_rplus_component(model: FormalPairModel, comp: RPlusComponent):
         raise DomainError("bubble component genus must be nonnegative")
     if len(comp.cls) != model.rank:
         raise DomainError("bubble component class has the wrong lattice rank")
+    model.validate_absolute_markings(comp.absolute)
     # an infinity marking matches a host marking dually, so it is valid
     # exactly when its dual is a valid divisor marking
     for m in comp.infinity:

@@ -4,6 +4,18 @@
 other domain failure derives from ``DomainError`` (CLI exit code 1).
 """
 
+__all__ = [
+    "DomainError",
+    "SchemaError",
+    "SectorError",
+    "LabelError",
+    "ImproperPairError",
+    "OutOfImageError",
+    "PosetCycleError",
+    "TriangularError",
+    "SearchLimitError",
+]
+
 
 class DomainError(ValueError):
     """A well-formed request that violates a mathematical precondition."""

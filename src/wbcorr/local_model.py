@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .errors import SchemaError, SectorError
 from .rationals import Rational, _parse_int, floor_frac, frac
 
-__all__ = ["LabelLadder", "LocalModel", "SectorIndex"]
+__all__ = ["LocalModel", "SectorIndex"]
 
 
 class LabelLadder(NamedTuple):

@@ -23,11 +23,12 @@ canonical (sorted) form, so equality is structural and values are
 hashable.  The canonical form lives in this module's private mixins:
 ``_Canonical`` (exact class vectors and sorted marking lists, also the
 base of ``correspondence.RPlusComponent``), ``_ConnectedData`` (genus
-check, sort key and JSON of a connected datum) and ``_Multiset`` (sort,
-sort key and JSON of a datum's components).  Admissibility beyond the
-internally checkable constraints (basis membership, label validity,
-contact-sum/class pairing consistency) is asserted by the caller, not
-re-derived; the model carries no Chern data to derive it from.
+check, sort key, and JSON written and read, of a connected datum) and
+``_Multiset`` (sort, sort key, and JSON written and read, of a datum's
+components).  Admissibility beyond the internally checkable constraints
+(basis membership, label validity, contact-sum/class pairing consistency)
+is asserted by the caller, not re-derived; the model carries no Chern
+data to derive it from.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "NMinimalData",
     "FormalPairModel",
     "enumerate_relative_data",
+    "load_data",
 ]
 
 
@@ -71,6 +73,10 @@ class AbsoluteMarking:
 
     def to_json(self):
         return {"sector": self.sector, "insertion": self.insertion, "psi": self.psi}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls(_str_field(doc, "sector"), _str_field(doc, "insertion"), _int_field(doc, "psi"))
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,15 @@ class RelativeMarking:
             "ell": self.ell,
         }
 
+    @classmethod
+    def from_json(cls, doc):
+        return cls(
+            _str_field(doc, "sector"),
+            parse_rational(doc.get("contact", "")),
+            _int_field(doc, "j"),
+            _int_field(doc, "ell"),
+        )
+
 
 @dataclass(frozen=True)
 class SMarking:
@@ -111,6 +126,10 @@ class SMarking:
     def to_json(self):
         return {"sector": self.sector, "j": self.j, "psi": self.psi}
 
+    @classmethod
+    def from_json(cls, doc):
+        return cls(_str_field(doc, "sector"), _int_field(doc, "j"), _int_field(doc, "psi"))
+
 
 # ---------------------------------------------------------------------------
 # canonical form
@@ -122,10 +141,9 @@ def _sort_key(item):
 
 class _Canonical:
     """The canonical form of a datum or bubble component: ``cls`` as exact
-    rationals and each marking field named in ``_markings`` sorted by
-    ``sort_key``, so that equality is structural and values hash."""
-
-    _markings = ()
+    rationals and each marking list sorted by ``sort_key``, so that equality
+    is structural and values hash.  ``_markings`` maps the name of each
+    marking list, in JSON order, to its marking class."""
 
     def __post_init__(self):
         object.__setattr__(self, "cls", tuple(Rational(c) for c in self.cls))
@@ -135,7 +153,7 @@ class _Canonical:
 
 class _ConnectedData(_Canonical):
     """A connected datum: a nonnegative genus, its canonical form, and the
-    sort key and JSON of its genus, class and marking lists."""
+    sort key and JSON (written and read) of its genus, class and markings."""
 
     def __post_init__(self):
         if self.genus < 0:
@@ -155,10 +173,23 @@ class _ConnectedData(_Canonical):
             doc[name] = [m.to_json() for m in getattr(self, name)]
         return doc
 
+    @classmethod
+    def from_json(cls, doc):
+        genus = _int_field(doc, "genus")
+        try:
+            vector = tuple(parse_rational(x) for x in _list_field(doc, "class"))
+        except ValueError as exc:
+            raise SchemaError(f"malformed class vector: {exc}") from exc
+        markings = {
+            name: tuple(marking.from_json(m) for m in _list_field(doc, name))
+            for name, marking in cls._markings.items()
+        }
+        return cls(genus, vector, **markings)
+
 
 class _Multiset:
-    """A multiset of components in canonical (sorted) order, written to JSON
-    under the document kind ``_kind``."""
+    """A multiset of components of class ``_component`` in canonical (sorted)
+    order, written to and read from JSON under the document kind ``_kind``."""
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(sorted(self.components, key=_sort_key)))
@@ -168,6 +199,10 @@ class _Multiset:
 
     def to_json(self):
         return {"kind": self._kind, "components": [c.to_json() for c in self.components]}
+
+    @classmethod
+    def from_json(cls, doc):
+        return cls(tuple(cls._component.from_json(c) for c in _components_of(doc, cls._kind)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +218,7 @@ class ConnectedRelativeData(_ConnectedData):
     absolute: tuple = ()
     relative: tuple = ()
 
-    _markings = ("absolute", "relative")
+    _markings = {"absolute": AbsoluteMarking, "relative": RelativeMarking}
 
     def contact_sum(self):
         return sum((m.contact for m in self.relative), Rational(0))
@@ -196,29 +231,10 @@ class RelativeData(_Multiset):
     components: tuple = ()
 
     _kind = "relative"
+    _component = ConnectedRelativeData
 
     def relative_markings(self):
         return [m for comp in self.components for m in comp.relative]
-
-    @classmethod
-    def from_json(cls, doc) -> "RelativeData":
-        return cls(
-            components=tuple(
-                ConnectedRelativeData(
-                    **_connected_fields(c),
-                    relative=tuple(
-                        RelativeMarking(
-                            sector=_str_field(m, "sector"),
-                            contact=parse_rational(m.get("contact", "")),
-                            j=_int_field(m, "j"),
-                            ell=_int_field(m, "ell"),
-                        )
-                        for m in _list_field(c, "relative")
-                    ),
-                )
-                for c in _components_of(doc, "relative")
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -230,7 +246,7 @@ class ConnectedAbsoluteData(_ConnectedData):
     absolute: tuple = ()
     s_markings: tuple = ()
 
-    _markings = ("absolute", "s_markings")
+    _markings = {"absolute": AbsoluteMarking, "s_markings": SMarking}
 
 
 @dataclass(frozen=True)
@@ -238,25 +254,7 @@ class AbsoluteData(_Multiset):
     components: tuple = ()
 
     _kind = "absolute"
-
-    @classmethod
-    def from_json(cls, doc) -> "AbsoluteData":
-        return cls(
-            components=tuple(
-                ConnectedAbsoluteData(
-                    **_connected_fields(c),
-                    s_markings=tuple(
-                        SMarking(
-                            sector=_str_field(m, "sector"),
-                            j=_int_field(m, "j"),
-                            psi=_int_field(m, "psi"),
-                        )
-                        for m in _list_field(c, "s_markings")
-                    ),
-                )
-                for c in _components_of(doc, "absolute")
-            )
-        )
+    _component = ConnectedAbsoluteData
 
 
 @dataclass(frozen=True)
@@ -268,6 +266,7 @@ class NMinimalData(_Multiset):
     components: tuple = ()
 
     _kind = "n_minimal"
+    _component = RelativeMarking
 
 
 def load_data(doc):
@@ -275,10 +274,11 @@ def load_data(doc):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError('data document must be an object with a "kind" field')
     kind = doc["kind"]
-    if kind == "relative":
-        return RelativeData.from_json(doc)
-    if kind == "absolute":
-        return AbsoluteData.from_json(doc)
+    # compared with ==, not looked up: a kind that is a list or an object
+    # is unhashable, and must still be an unknown kind
+    for data in (RelativeData, AbsoluteData):
+        if kind == data._kind:
+            return data.from_json(doc)
     raise SchemaError(f"unknown data kind {kind!r}")
 
 
@@ -336,25 +336,6 @@ def _int_vector(values, name):
         return tuple(Rational(_parse_int(x)) for x in values)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"lattice {name}: {exc}") from exc
-
-
-def _connected_fields(obj):
-    """The genus, class and ambient markings of a connected datum's JSON,
-    read in that order, as keyword arguments of its class."""
-    genus = _int_field(obj, "genus")
-    try:
-        cls = tuple(parse_rational(x) for x in _list_field(obj, "class"))
-    except ValueError as exc:
-        raise SchemaError(f"malformed class vector: {exc}") from exc
-    absolute = tuple(
-        AbsoluteMarking(
-            sector=_str_field(m, "sector"),
-            insertion=_str_field(m, "insertion"),
-            psi=_int_field(m, "psi"),
-        )
-        for m in _list_field(obj, "absolute")
-    )
-    return {"genus": genus, "cls": cls, "absolute": absolute}
 
 
 # ---------------------------------------------------------------------------
@@ -694,15 +675,19 @@ class FormalPairModel:
             raise DomainError(f"H-power {m.ell} outside [0, {ell_max}] on {m.sector!r}")
         self._valid_markings.add(m)
 
-    def _validate_component(self, comp, rank: int, rank_name: str):
-        """Check a connected datum's class length and ambient markings."""
-        if len(comp.cls) != rank:
-            raise DomainError(f"class vector length {len(comp.cls)} != {rank_name} {rank}")
-        for m in comp.absolute:
+    def validate_absolute_markings(self, markings):
+        """Check ambient markings: declared insertions, nonnegative psi powers."""
+        for m in markings:
             if m.insertion not in self.k_classes:
                 raise DomainError(f"ambient insertion {m.insertion!r} not among the declared classes")
             if m.psi < 0:
                 raise DomainError("descendent powers must be nonnegative")
+
+    def _validate_component(self, comp, rank: int, rank_name: str):
+        """Check a connected datum's class length and ambient markings."""
+        if len(comp.cls) != rank:
+            raise DomainError(f"class vector length {len(comp.cls)} != {rank_name} {rank}")
+        self.validate_absolute_markings(comp.absolute)
 
     def validate_relative_data(self, rd: RelativeData):
         for comp in rd.components:

@@ -15,6 +15,15 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
+__all__ = [
+    "BACKEND",
+    "Rational",
+    "floor_frac",
+    "format_rational",
+    "gen_factorial",
+    "parse_rational",
+]
+
 #: Name of the rational type, recorded in benchmark metadata.
 BACKEND = "fraction"
 

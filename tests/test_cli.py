@@ -1029,3 +1029,63 @@ def test_exit_codes(capsys, model_path, tmp_path, pair_model_path):
     for argv in argvs:
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and err.startswith("SchemaError") and err.count("\n") == 1, argv
+
+
+
+def _relative(*components):
+    return {"kind": "relative", "components": list(components)}
+
+
+def _component(**fields):
+    return {"genus": 0, "class": ["0", "1"], **fields}
+
+
+_MARKING = {"sector": "sb", "contact": "1", "j": 1, "ell": 0}
+
+# (id, verb, data document, its one stderr line); ``order`` reads an array
+_MALFORMED_DATA = [
+    # a kind is compared, never looked up: a list or an object is unknown
+    ("kind-list", "correspond", {"kind": ["relative"], "components": []},
+     "SchemaError: unknown data kind ['relative']"),
+    ("kind-object", "correspond", {"kind": {"relative": 1}, "components": []},
+     "SchemaError: unknown data kind {'relative': 1}"),
+    ("kind-unknown", "correspond", {"kind": "n_minimal", "components": []},
+     "SchemaError: unknown data kind 'n_minimal'"),
+    ("kind-absolute-in-order", "order", [{"kind": "absolute", "components": []}],
+     'SchemaError: expected an object with "kind": "relative"'),
+    ("components-object", "correspond", {"kind": "relative", "components": {}},
+     'SchemaError: "components" must be a list'),
+    ("component-int", "order", [_relative(5)], "SchemaError: missing field 'genus'"),
+    ("genus-missing", "correspond", _relative({"class": ["0", "1"]}),
+     "SchemaError: missing field 'genus'"),
+    ("genus-negative", "order", [_relative(_component(genus=-1))],
+     "SchemaError: genus must be nonnegative, got -1"),
+    ("class-entry", "correspond", _relative(_component(**{"class": ["0", "x"]})),
+     "SchemaError: malformed class vector: not a rational literal: 'x'"),
+    ("marking-int", "correspond", _relative(_component(absolute=[5])),
+     "SchemaError: missing field 'sector'"),
+    ("contact-missing", "order",
+     [_relative(_component(relative=[{"sector": "sb", "j": 1, "ell": 0}]))],
+     "ValueError: not a rational literal: ''"),
+    ("contact-null", "order", [_relative(_component(relative=[{**_MARKING, "contact": None}]))],
+     "ValueError: not a rational literal: None"),
+    ("j-bool", "correspond", _relative(_component(relative=[{**_MARKING, "j": True}])),
+     "SchemaError: field 'j' must be an integer, got True"),
+    ("relative-object", "order", [_relative(_component(relative={}))],
+     "SchemaError: field 'relative' must be a list"),
+    ("psi-missing", "correspond", {"kind": "absolute", "components": [
+        {"genus": 0, "class": ["1"], "s_markings": [{"sector": "t1", "j": 1}]}
+    ]}, "SchemaError: missing field 'psi'"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, doc, line", [pytest.param(*case[1:], id=case[0]) for case in _MALFORMED_DATA]
+)
+def test_a_malformed_data_document_is_one_error_line(
+    capsys, tmp_path, pair_model_path, verb, doc, line
+):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, verb, "--pair-model", pair_model_path, "--data", str(path))
+    assert (code, out, err) == (2, "", line + "\n")

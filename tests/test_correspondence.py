@@ -299,6 +299,21 @@ def test_glue_rejects_bad_bubbles(pm_b, rd_one_marking):
         # the error names the marking as passed, not its dual
         with pytest.raises(DomainError, match=f"^infinity marking on {bad.sector!r}: .*{message}"):
             glue(pm_b, rd_one_marking, [(bubble, (0,))])
+    # ambient markings: checked by the rule that validates data
+    blk = minimal_block(pm_b, mk("sa", Q(1, 2)))
+
+    def with_ambient(m):
+        return [(RPlusComponent(blk.genus, blk.cls, (m,), blk.infinity, blk.zero), (0,))]
+
+    pm_b.validate_relative_data(
+        glue(pm_b, rd_one_marking, with_ambient(AbsoluteMarking("t1", "one_X", 0)))
+    )
+    for bad, message in [
+        (AbsoluteMarking("t1", "bogus", 0), "^ambient insertion 'bogus' not among"),
+        (AbsoluteMarking("t1", "one_X", -1), "^descendent powers must be nonnegative"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            glue(pm_b, rd_one_marking, with_ambient(bad))
     # bad matchings: host 0 carries sa 1/2 and sb 1, host 1 carries sb 1
     sa, sb = mk("sa", Q(1, 2)), mk("sb", Q(1))
     rd = rdata(comp(0, (Q(0), Q(3, 2)), rel=(sa, sb)), comp(0, (Q(1), Q(1)), rel=(sb,)))

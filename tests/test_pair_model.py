@@ -350,15 +350,17 @@ def test_one_canonical_form_for_components_and_multisets(make, lists):
 
 @pytest.mark.parametrize(
     "datum",
-    [RelativeData(_CRD), AbsoluteData(_CAD), RelativeData(), AbsoluteData()],
-    ids=["relative", "absolute", "empty-relative", "empty-absolute"],
+    [RelativeData(_CRD), AbsoluteData(_CAD), RelativeData(), AbsoluteData(), NMinimalData(_DIVISOR)],
+    ids=["relative", "absolute", "empty-relative", "empty-absolute", "n-minimal"],
 )
 def test_data_from_json_inverts_to_json(datum):
     doc = datum.to_json()
     back = type(datum).from_json(doc)
     assert back == datum and hash(back) == hash(datum)
     assert back.to_json() == doc
-    assert load_data(doc) == datum
+    # a minimal bubble datum is written as a companion, never read as data
+    if not isinstance(datum, NMinimalData):
+        assert load_data(doc) == datum
 
 
 def test_data_json_roundtrip(pm_b):
